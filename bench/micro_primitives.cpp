@@ -1,9 +1,11 @@
 // Microbenchmarks for the primitives the generator and evaluator are
 // built from: Zipf sampling (rejection-inversion), Gaussian draws,
-// slot-vector shuffles, product-graph BFS, and hash joins.
+// slot-vector shuffles, product-graph BFS, and the relational operators
+// (hash join, projection with de-duplication, distinct-union count).
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <numeric>
 
 #include "core/use_cases.h"
@@ -81,6 +83,57 @@ void BM_HashJoin(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_HashJoin)->Arg(10000)->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
+
+/// n random (x, y, z) rows over node ids in [0, n/4]: projecting onto
+/// (x, z) keeps roughly half the rows, as a rule head does on a join
+/// output.
+VarRelation RandomTernary(int64_t n, uint64_t seed) {
+  RandomEngine rng(seed);
+  VarRelation rel({0, 1, 2});
+  NodeId row[3];
+  for (int64_t i = 0; i < n; ++i) {
+    for (NodeId& v : row) v = static_cast<NodeId>(rng.UniformInt(0, n / 4));
+    rel.AppendRow({row, 3});
+  }
+  return rel;
+}
+
+void BM_ProjectDistinct(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  VarRelation rel = RandomTernary(n, 3);
+  for (auto _ : state) {
+    BudgetTracker budget(ResourceBudget::Unlimited());
+    auto projected = ProjectDistinct(rel, {2, 0}, &budget);
+    benchmark::DoNotOptimize(projected.ok());
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_ProjectDistinct)->Arg(10000)->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_CountDistinctUnion(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  // Two n-row binary relations over ~n possible pairs: each holds ~0.63n
+  // distinct rows and their union ~0.86n, so both the duplicate and the
+  // insert path are hot.
+  const int64_t side = static_cast<int64_t>(std::sqrt(static_cast<double>(n)));
+  RandomEngine rng(3);
+  std::vector<VarRelation> rels(2, VarRelation({0, 1}));
+  for (VarRelation& rel : rels) {
+    for (int64_t i = 0; i < n; ++i) {
+      NodeId row[2] = {static_cast<NodeId>(rng.UniformInt(0, side - 1)),
+                       static_cast<NodeId>(rng.UniformInt(0, side - 1))};
+      rel.AppendRow({row, 2});
+    }
+  }
+  for (auto _ : state) {
+    BudgetTracker budget(ResourceBudget::Unlimited());
+    benchmark::DoNotOptimize(CountDistinctUnion(rels, &budget).ValueOr(0));
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * n);
+}
+BENCHMARK(BM_CountDistinctUnion)->Arg(10000)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

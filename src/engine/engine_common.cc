@@ -11,8 +11,8 @@ namespace gmark {
 
 namespace {
 
-/// Pack a pair for hashing; node ids fit comfortably in 32 bits at the
-/// graph sizes the engines run on.
+/// Pack a pair for hashing; callers check CheckPairKeysFit once per
+/// call, so both ids fit in 32 bits.
 uint64_t PackPair(NodeId a, NodeId b) { return (a << 32) | (b & 0xffffffff); }
 
 }  // namespace
@@ -41,6 +41,9 @@ Result<ChargedPairs> ComposePathPairs(const Graph& graph,
                                       BudgetTracker* budget) {
   if (path.empty()) {
     return Status::InvalidArgument("cannot compose an empty path");
+  }
+  if (set_semantics) {
+    GMARK_RETURN_NOT_OK(CheckPairKeysFit(graph.num_nodes()));
   }
   NodePairs current = SymbolPairs(graph, path[0]);
   TupleCharge charge(budget);
@@ -92,6 +95,7 @@ Result<ChargedPairs> RegexBasePairs(const Graph& graph,
 
 Result<ChargedPairs> ClosureNaive(const Graph& graph, const NodePairs& base,
                                   BudgetTracker* budget, uint64_t* rounds) {
+  GMARK_RETURN_NOT_OK(CheckPairKeysFit(graph.num_nodes()));
   const NodeId n = static_cast<NodeId>(graph.num_nodes());
   std::unordered_set<uint64_t> known;
   NodePairs result;
@@ -137,6 +141,7 @@ Result<ChargedPairs> ClosureSemiNaive(const Graph& graph,
                                       const NodePairs& base,
                                       BudgetTracker* budget,
                                       uint64_t* rounds) {
+  GMARK_RETURN_NOT_OK(CheckPairKeysFit(graph.num_nodes()));
   const NodeId n = static_cast<NodeId>(graph.num_nodes());
   std::unordered_set<uint64_t> known;
   NodePairs result;
@@ -213,6 +218,29 @@ QueryPlan PlanOrIdentity(const EvalOptions& opts, const Graph& graph,
     return opts.planner->PlanQuery(query, graph.layout());
   }
   return QueryPlan::Identity(query);
+}
+
+Status CheckPairKeysFit(int64_t num_nodes) {
+  if (num_nodes > (int64_t{1} << 32)) {
+    return Status::InvalidArgument(
+        "node ids exceed the 32 bits of a packed pair key");
+  }
+  return Status::OK();
+}
+
+Status CheckEdgeKeysFit(size_t predicate_count, int64_t num_nodes) {
+  if (predicate_count == 0 || num_nodes <= 0) return Status::OK();
+  const uint64_t n = static_cast<uint64_t>(num_nodes);
+  // The largest key: (last predicate * n + last node) * n + last node.
+  uint64_t key = predicate_count - 1;
+  if (__builtin_mul_overflow(key, n, &key) ||
+      __builtin_add_overflow(key, n - 1, &key) ||
+      __builtin_mul_overflow(key, n, &key) ||
+      __builtin_add_overflow(key, n - 1, &key)) {
+    return Status::InvalidArgument(
+        "predicate and node counts overflow a 64-bit edge key");
+  }
+  return Status::OK();
 }
 
 }  // namespace gmark

@@ -89,6 +89,17 @@ Result<ChargedPairs> EvaluateConjunctPairs(const Graph& graph,
 QueryPlan PlanOrIdentity(const EvalOptions& opts, const Graph& graph,
                          const Query& query);
 
+/// \brief Precondition of the packed (source, target) keys that path
+/// composition and the closures deduplicate with: node ids must fit in
+/// 32 bits, i.e. `num_nodes` <= 2^32. InvalidArgument otherwise. One
+/// check per call, none per pair.
+Status CheckPairKeysFit(int64_t num_nodes);
+
+/// \brief Precondition of the openCypher engine's edge keys,
+/// (p * n + s) * n + t in 64 bits: the key of the last predicate's last
+/// node pair must not wrap. InvalidArgument otherwise.
+Status CheckEdgeKeysFit(size_t predicate_count, int64_t num_nodes);
+
 }  // namespace gmark
 
 #endif  // GMARK_ENGINE_ENGINE_COMMON_H_

@@ -218,6 +218,8 @@ class CypherEngine : public QueryEngine {
   Result<uint64_t> Evaluate(const Graph& graph, const Query& query,
                             const ResourceBudget& budget_spec,
                             EvalContext* ctx = nullptr) const override {
+    GMARK_RETURN_NOT_OK(
+        CheckEdgeKeysFit(graph.predicate_count(), graph.num_nodes()));
     BudgetTracker budget(budget_spec);
     EvalProfile* profile = ctx != nullptr ? ctx->profile : nullptr;
     BudgetProfileScope budget_scope(profile, &budget);
@@ -281,6 +283,7 @@ class CypherEngine : public QueryEngine {
     size_t step_offset;       // this rule's first global plan-step index
   };
 
+  /// Collision-free under CheckEdgeKeysFit, checked once per Evaluate.
   static uint64_t EdgeId(const Graph& graph, PredicateId p, NodeId s,
                          NodeId t) {
     uint64_t n = static_cast<uint64_t>(graph.num_nodes());

@@ -1,32 +1,101 @@
 #include "engine/relation.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <bit>
+#include <limits>
+#include <numeric>
 
 namespace gmark {
 
 namespace {
 
-/// FNV-1a over a row of node ids.
-struct RowHasher {
-  size_t operator()(const std::vector<NodeId>& row) const {
-    uint64_t h = 1469598103934665603ULL;
-    for (NodeId v : row) {
-      h ^= v;
-      h *= 1099511628211ULL;
-    }
-    return static_cast<size_t>(h);
-  }
-};
+/// Row indexes are 32-bit; the all-ones value marks an empty slot or
+/// the end of a chain.
+constexpr uint32_t kNoRow = std::numeric_limits<uint32_t>::max();
 
-std::vector<NodeId> KeyOf(std::span<const NodeId> row,
-                          const std::vector<int>& positions) {
-  std::vector<NodeId> key;
-  key.reserve(positions.size());
-  for (int p : positions) key.push_back(row[static_cast<size_t>(p)]);
-  return key;
+Status CheckRowIndexable(size_t rows) {
+  if (rows >= kNoRow) {
+    return Status::ResourceExhausted(
+        "relation operator input exceeds 2^32 - 2 rows");
+  }
+  return Status::OK();
 }
+
+/// Hash of the columns `cols` of `row`: a multiply-xorshift step per
+/// column, folded to 32 bits. Only bucket placement depends on it;
+/// emission order never does.
+uint32_t HashColumns(std::span<const NodeId> row,
+                     const std::vector<int>& cols) {
+  uint64_t h = 0x9e3779b97f4a7c15ULL;
+  for (int c : cols) {
+    h = (h ^ row[static_cast<size_t>(c)]) * 0xbf58476d1ce4e5b9ULL;
+    h ^= h >> 31;
+  }
+  return static_cast<uint32_t>(h ^ (h >> 32));
+}
+
+/// Whether the columns `a_cols` of `a` equal the columns `b_cols` of
+/// `b`, pairwise.
+bool ColumnsEqual(std::span<const NodeId> a, const std::vector<int>& a_cols,
+                  std::span<const NodeId> b, const std::vector<int>& b_cols) {
+  for (size_t k = 0; k < a_cols.size(); ++k) {
+    if (a[static_cast<size_t>(a_cols[k])] !=
+        b[static_cast<size_t>(b_cols[k])]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The distinct rows of `out` (width >= 1), as an open-addressing set
+/// of row indexes: slots hold indexes into `out`, and a lookup hashes
+/// the candidate row's columns and compares them against `out`'s flat
+/// buffer in place, so no key is ever materialized. Linear probing,
+/// doubled at half load; each row's hash is kept, so growth never
+/// rehashes a row and a probe compares columns only on a hash match.
+class DistinctRows {
+ public:
+  explicit DistinctRows(VarRelation* out)
+      : out_(out), identity_(out->width()), slots_(16, kNoRow) {
+    std::iota(identity_.begin(), identity_.end(), 0);
+  }
+
+  /// Appends the columns `cols` of `row` to `out` unless an equal row
+  /// is already there; returns whether it was appended.
+  bool Insert(std::span<const NodeId> row, const std::vector<int>& cols) {
+    const uint32_t h = HashColumns(row, cols);
+    const size_t mask = slots_.size() - 1;
+    for (size_t s = h & mask;; s = (s + 1) & mask) {
+      const uint32_t k = slots_[s];
+      if (k == kNoRow) {
+        slots_[s] = static_cast<uint32_t>(hashes_.size());
+        hashes_.push_back(h);
+        out_->AppendColumns(row, cols);
+        if (2 * hashes_.size() > slots_.size()) Grow();
+        return true;
+      }
+      if (hashes_[k] == h && ColumnsEqual(row, cols, out_->row(k), identity_)) {
+        return false;
+      }
+    }
+  }
+
+ private:
+  void Grow() {
+    slots_.assign(2 * slots_.size(), kNoRow);
+    const size_t mask = slots_.size() - 1;
+    for (uint32_t k = 0; k < hashes_.size(); ++k) {
+      size_t s = hashes_[k] & mask;
+      while (slots_[s] != kNoRow) s = (s + 1) & mask;
+      slots_[s] = k;
+    }
+  }
+
+  VarRelation* out_;
+  std::vector<int> identity_;  // out_'s own columns, 0..width-1.
+  std::vector<uint32_t> slots_;
+  std::vector<uint32_t> hashes_;  // Per row of out_.
+};
 
 }  // namespace
 
@@ -86,26 +155,35 @@ Result<ChargedRelation> HashJoin(const VarRelation& a, const VarRelation& b,
   }
   VarRelation out(out_vars);
   TupleCharge charge(budget);
+  PeriodicTimeCheck clock(budget);
 
-  // Build on b, probe with a.
-  std::unordered_map<std::vector<NodeId>, std::vector<size_t>, RowHasher>
-      index;
-  index.reserve(b.row_count());
-  for (size_t i = 0; i < b.row_count(); ++i) {
-    index[KeyOf(b.row(i), b_pos)].push_back(i);
+  // Build on b: bucket heads plus a per-row `next` chain. Rows thread in
+  // descending order, so every chain lists its rows ascending.
+  const size_t nb = b.row_count();
+  GMARK_RETURN_NOT_OK(CheckRowIndexable(nb));
+  const size_t mask = std::bit_ceil(nb) - 1;  // bit_ceil(0) == 1.
+  std::vector<uint32_t> head(mask + 1, kNoRow);
+  std::vector<uint32_t> next(nb);
+  std::vector<uint32_t> hash(nb);
+  for (size_t j = nb; j-- > 0;) {
+    GMARK_RETURN_NOT_OK(clock.Check());
+    hash[j] = HashColumns(b.row(j), b_pos);
+    next[j] = head[hash[j] & mask];
+    head[hash[j] & mask] = static_cast<uint32_t>(j);
   }
-  std::vector<NodeId> row_buf;
+  // Probe with a, comparing key columns in place.
   for (size_t i = 0; i < a.row_count(); ++i) {
-    GMARK_RETURN_NOT_OK(budget->CheckTime());
-    auto it = index.find(KeyOf(a.row(i), a_pos));
-    if (it == index.end()) continue;
-    for (size_t j : it->second) {
-      row_buf.assign(a.row(i).begin(), a.row(i).end());
-      for (int p : b_extra) {
-        row_buf.push_back(b.row(j)[static_cast<size_t>(p)]);
+    GMARK_RETURN_NOT_OK(clock.Check());
+    const std::span<const NodeId> row = a.row(i);
+    const uint32_t h = HashColumns(row, a_pos);
+    for (uint32_t j = head[h & mask]; j != kNoRow; j = next[j]) {
+      if (hash[j] != h || !ColumnsEqual(row, a_pos, b.row(j), b_pos)) {
+        continue;
       }
+      GMARK_RETURN_NOT_OK(clock.Check());
       GMARK_RETURN_NOT_OK(charge.Charge(1));
-      out.AppendRow(row_buf);
+      out.AppendRow(row);
+      out.AppendColumns(b.row(j), b_extra);
     }
   }
   return ChargedRelation(std::move(out), std::move(charge));
@@ -128,13 +206,13 @@ Result<ChargedRelation> ProjectDistinct(const VarRelation& rel,
     if (rel.row_count() > 0) out.SetNonEmpty();
     return ChargedRelation(std::move(out), std::move(charge));
   }
-  std::unordered_set<std::vector<NodeId>, RowHasher> seen;
-  seen.reserve(rel.row_count());
+  GMARK_RETURN_NOT_OK(CheckRowIndexable(rel.row_count()));
+  DistinctRows distinct(&out);
+  PeriodicTimeCheck clock(budget);
   for (size_t i = 0; i < rel.row_count(); ++i) {
-    std::vector<NodeId> key = KeyOf(rel.row(i), positions);
-    if (seen.insert(key).second) {
+    GMARK_RETURN_NOT_OK(clock.Check());
+    if (distinct.Insert(rel.row(i), positions)) {
       GMARK_RETURN_NOT_OK(charge.Charge(1));
-      out.AppendRow(key);
     }
   }
   return ChargedRelation(std::move(out), std::move(charge));
@@ -143,26 +221,34 @@ Result<ChargedRelation> ProjectDistinct(const VarRelation& rel,
 Result<uint64_t> CountDistinctUnion(const std::vector<VarRelation>& rels,
                                     BudgetTracker* budget) {
   if (rels.empty()) return static_cast<uint64_t>(0);
-  if (rels[0].width() == 0) {
-    for (const auto& r : rels) {
-      if (r.row_count() > 0) return static_cast<uint64_t>(1);
+  size_t total_rows = 0;
+  for (const auto& r : rels) {
+    if (r.width() != rels[0].width()) {
+      return Status::InvalidArgument("union of relations of unequal width");
     }
-    return static_cast<uint64_t>(0);
+    total_rows += r.row_count();
   }
-  std::unordered_set<std::vector<NodeId>, RowHasher> seen;
+  if (rels[0].width() == 0) {
+    return static_cast<uint64_t>(total_rows > 0 ? 1 : 0);
+  }
+  GMARK_RETURN_NOT_OK(CheckRowIndexable(total_rows));
+  VarRelation seen(rels[0].vars());
+  DistinctRows distinct(&seen);
+  std::vector<int> all_columns(rels[0].width());
+  std::iota(all_columns.begin(), all_columns.end(), 0);
   // The distinct set's charge lives exactly as long as the set: it
   // releases when this guard unwinds, on success and failure alike.
   TupleCharge charge(budget);
+  PeriodicTimeCheck clock(budget);
   for (const auto& r : rels) {
     for (size_t i = 0; i < r.row_count(); ++i) {
-      std::vector<NodeId> key(r.row(i).begin(), r.row(i).end());
-      if (seen.insert(std::move(key)).second) {
+      GMARK_RETURN_NOT_OK(clock.Check());
+      if (distinct.Insert(r.row(i), all_columns)) {
         GMARK_RETURN_NOT_OK(charge.Charge(1));
       }
     }
-    GMARK_RETURN_NOT_OK(budget->CheckTime());
   }
-  return static_cast<uint64_t>(seen.size());
+  return static_cast<uint64_t>(seen.row_count());
 }
 
 void DedupPairs(std::vector<std::pair<NodeId, NodeId>>* pairs) {

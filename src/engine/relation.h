@@ -39,6 +39,13 @@ class VarRelation {
     data_.insert(data_.end(), values.begin(), values.end());
   }
 
+  /// \brief Append the columns `positions` of `values`, in that order
+  /// (a projection, or one side's share of a join row).
+  void AppendColumns(std::span<const NodeId> values,
+                     const std::vector<int>& positions) {
+    for (int p : positions) data_.push_back(values[static_cast<size_t>(p)]);
+  }
+
   /// \brief For width-0 (boolean) relations: mark non-empty.
   void SetNonEmpty() { nullary_nonempty_ = true; }
 
@@ -71,6 +78,15 @@ using ChargedRelation = Charged<VarRelation>;
 Result<ChargedRelation> ChargeRelation(VarRelation rel,
                                        BudgetTracker* budget);
 
+// Operator invariants (HashJoin, ProjectDistinct, CountDistinctUnion;
+// see CONTRIBUTING.md): output order depends only on the inputs — join
+// rows in probe-row (`a`) order, then ascending build-row (`b`) order;
+// distinct rows in first-occurrence order. One Charge(1) per emitted or
+// distinct row, before the row is stored. A PeriodicTimeCheck in every
+// per-row loop. No per-row allocation: rows are hashed and compared in
+// place by 32-bit row index, so an input of 2^32 - 1 rows or more
+// fails with ResourceExhausted up front.
+
 /// \brief Natural hash join on the shared variables of `a` and `b`.
 /// Joins with no shared variables degenerate to a (budgeted) cross
 /// product. Output rows are charged as they are produced.
@@ -85,7 +101,9 @@ Result<ChargedRelation> ProjectDistinct(const VarRelation& rel,
 
 /// \brief Count the distinct tuples in the union of equal-width
 /// relations (the UCRPQ union semantics with a count(distinct)
-/// aggregate).
+/// aggregate). Relations of different widths are an InvalidArgument.
+/// Each distinct tuple is charged once and stays charged until the
+/// count returns.
 Result<uint64_t> CountDistinctUnion(const std::vector<VarRelation>& rels,
                                     BudgetTracker* budget);
 

@@ -156,5 +156,24 @@ TEST(EngineCommonTest, EmptyPathRejected) {
   EXPECT_FALSE(ComposePathPairs(g, {}, true, &budget).ok());
 }
 
+TEST(EngineCommonTest, PairKeysFitUpToTwoToThe32Nodes) {
+  EXPECT_TRUE(CheckPairKeysFit(0).ok());
+  EXPECT_TRUE(CheckPairKeysFit(int64_t{1} << 32).ok());
+  EXPECT_TRUE(CheckPairKeysFit((int64_t{1} << 32) + 1).IsInvalidArgument());
+}
+
+TEST(EngineCommonTest, EdgeKeysFitExactlyWhenTheLastKeyDoesNotWrap) {
+  const int64_t two32 = int64_t{1} << 32;
+  const int64_t two31 = int64_t{1} << 31;
+  EXPECT_TRUE(CheckEdgeKeysFit(0, two32 * 4).ok());  // No edges to key.
+  EXPECT_TRUE(CheckEdgeKeysFit(3, 0).ok());
+  EXPECT_TRUE(CheckEdgeKeysFit(1, two32).ok());  // Last key 2^64 - 1.
+  EXPECT_TRUE(CheckEdgeKeysFit(2, two32).IsInvalidArgument());
+  EXPECT_TRUE(CheckEdgeKeysFit(1, two32 + 1).IsInvalidArgument());
+  EXPECT_TRUE(CheckEdgeKeysFit(4, two31).ok());
+  EXPECT_TRUE(CheckEdgeKeysFit(5, two31).IsInvalidArgument());
+  EXPECT_TRUE(CheckEdgeKeysFit(1000, 1000000).ok());
+}
+
 }  // namespace
 }  // namespace gmark
