@@ -9,7 +9,9 @@
 // shrinking as the page cache absorbs the files.
 //
 // GMARK_SIZES=<a,b,c> picks graph sizes; GMARK_THREADS_SPILL=<k> picks
-// the worker count; GMARK_SMOKE=1 shrinks everything for CI runs.
+// the worker count; GMARK_SMOKE=1 shrinks everything for CI runs. Exits
+// non-zero when a run fails (generation error or a bad output stream)
+// or the two paths export different edge counts.
 
 #include <cstdio>
 #include <cstdlib>
@@ -43,6 +45,7 @@ int Threads() {
 struct Run {
   double seconds = 0.0;
   GenerateStats stats;
+  bool ok = false;
 };
 
 Run TimeRun(const GraphConfiguration& config, int threads, bool spill) {
@@ -54,11 +57,15 @@ Run TimeRun(const GraphConfiguration& config, int threads, bool spill) {
   Run run;
   WallTimer timer;
   Status st = ParallelGenerateToSink(config, &sink, options, &run.stats);
+  null_out.flush();
   run.seconds = timer.ElapsedSeconds();
+  if (st.ok() && !null_out) st = Status::IOError("stream write failed");
   if (!st.ok()) {
     std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
     run.stats = {};
+    return run;
   }
+  run.ok = true;
   return run;
 }
 
@@ -86,6 +93,7 @@ int main() {
       SmokeMode() ? std::vector<int64_t>{100000}
                   : bench::Sizes({300000, 1000000}, {10000000, 100000000});
   const int threads = Threads();
+  bool ok = true;
 
   // Spill before in-memory within each config: VmHWM is a process-wide
   // high-water mark, so the low-memory run must come first for its
@@ -93,8 +101,16 @@ int main() {
   for (UseCase use_case : {UseCase::kBib, UseCase::kLsn}) {
     for (int64_t n : sizes) {
       GraphConfiguration config = MakeUseCase(use_case, n, 42);
-      PrintRun(use_case, n, "spill", TimeRun(config, threads, true));
-      PrintRun(use_case, n, "resident", TimeRun(config, threads, false));
+      const Run spill = TimeRun(config, threads, true);
+      PrintRun(use_case, n, "spill", spill);
+      const Run resident = TimeRun(config, threads, false);
+      PrintRun(use_case, n, "resident", resident);
+      if (!spill.ok || !resident.ok ||
+          spill.stats.total_edges != resident.stats.total_edges) {
+        std::fprintf(stderr, "CHECK FAILED: %s n=%lld\n",
+                     UseCaseName(use_case), static_cast<long long>(n));
+        ok = false;
+      }
     }
   }
   std::printf(
@@ -102,5 +118,5 @@ int main() {
       "edge set for the resident path, ~threads*chunk_size edges for the\n"
       "spill path. VmHWM is process-wide and monotone, hence spill-first\n"
       "ordering; the resident rows lift it by roughly the edge-set size.)\n");
-  return 0;
+  return ok ? 0 : 1;
 }

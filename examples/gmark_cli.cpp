@@ -9,13 +9,13 @@
 //             [-o <dir>]                   write per-language query files
 //             [-n <nodes>]                 override the graph size
 //             [--use-case Bib|LSN|SP|WD]   built-in config instead of -c
-//             [--threads <k>]              parallel graph AND workload
-//                                          generation (0 = all cores); output
-//                                          is identical at any thread count
+//             [--threads <k>]              graph AND workload generation
+//                                          workers (0 = all cores, default
+//                                          1); output is identical at any
+//                                          thread count, flag given or not
 //             [--spill-dir <dir>]          stream edge shards through per-shard
 //                                          temp files under <dir> instead of
 //                                          holding the edge set in memory
-//                                          (implies the parallel generator)
 //             [--spill-threshold <bytes>]  only spill when the edge set
 //                                          exceeds <bytes> (default with
 //                                          --spill-dir: 0 = always spill)
@@ -88,16 +88,15 @@ int Usage(const char* argv0) {
       "          [--evaluate CODES] [--eval-threads k] [--plan on|off]\n"
       "          [--metrics-json FILE] [--trace-json FILE]\n"
       "\n"
-      "  --threads k            parallel graph and workload generation\n"
-      "                         (0 = all cores); output is byte-identical\n"
-      "                         at any thread count\n"
+      "  --threads k            graph and workload generation workers\n"
+      "                         (0 = all cores, default 1); output is\n"
+      "                         byte-identical at any thread count\n"
       "  --eval-threads k       parallel query evaluation for --evaluate\n"
       "                         (0 = all cores, default 1); counts and\n"
       "                         profiles are byte-identical at any thread\n"
       "                         count\n"
       "  --spill-dir DIR        stream edge shards through per-shard temp\n"
-      "                         files under DIR (bounded memory; implies\n"
-      "                         the parallel generator)\n"
+      "                         files under DIR (bounded memory)\n"
       "  --spill-threshold N    spill only when the edge set exceeds N\n"
       "                         bytes (with --spill-dir the default is 0,\n"
       "                         i.e. always spill)\n"
@@ -164,10 +163,9 @@ int main(int argc, char** argv) {
   int64_t spill_threshold = -1;
   int64_t nodes_override = -1;
   bool stats = false;
-  // -1 = flag absent: keep the serial generator (and its edge stream);
-  // any explicit value — or any spill flag — routes generation through
-  // src/parallel/.
-  int threads = -1;
+  // Generator and workload worker threads (0 = all cores). Every value
+  // runs the same parallel generator, so the output never depends on it.
+  int threads = 1;
   // Intra-query evaluation threads for --evaluate (1 = serial).
   int eval_threads = 1;
   bool eval_threads_set = false;
@@ -331,9 +329,7 @@ int main(int argc, char** argv) {
                  report->ToString().c_str());
   }
 
-  // Spill flags imply the parallel generator (the spill subsystem lives
-  // there); --spill-dir without an explicit threshold means always spill.
-  const bool spill_requested = !spill_dir.empty() || spill_threshold >= 0;
+  // --spill-dir without an explicit threshold means always spill.
   if (!spill_dir.empty() && spill_threshold < 0) spill_threshold = 0;
 
   // Graph generation.
@@ -354,15 +350,10 @@ int main(int argc, char** argv) {
       sink = &nt_sink.emplace(&out, &config.schema);
     }
     GeneratorOptions options;
+    options.num_threads = threads;
     options.spill_dir = spill_dir;
     options.spill_threshold_bytes = spill_threshold;
-    Status st;
-    if (threads >= 0 || spill_requested) {
-      options.num_threads = threads >= 0 ? threads : 1;
-      st = ParallelGenerateToSink(config, sink, options);
-    } else {
-      st = GenerateEdges(config, sink, options);
-    }
+    Status st = ParallelGenerateToSink(config, sink, options);
     // Flush before testing the stream: a failure in the final buffered
     // block would otherwise surface only in the destructor, silently.
     out.flush();
@@ -380,16 +371,11 @@ int main(int argc, char** argv) {
     // stream straight off the shard store, so the spill flags bound the
     // edge-staging memory here too (only the final CSRs stay resident).
     GeneratorOptions options;
+    options.num_threads = threads;
     options.spill_dir = spill_dir;
     options.spill_threshold_bytes = spill_threshold;
     GenerateStats gen_stats;
-    Result<Graph> graph = [&] {
-      if (threads >= 0 || spill_requested) {
-        options.num_threads = threads >= 0 ? threads : 1;
-        return ParallelGenerateGraph(config, options, &gen_stats);
-      }
-      return GenerateGraph(config, options, &gen_stats);
-    }();
+    Result<Graph> graph = ParallelGenerateGraph(config, options, &gen_stats);
     if (!graph.ok()) {
       std::fprintf(stderr, "error: %s\n",
                    graph.status().ToString().c_str());
@@ -427,10 +413,10 @@ int main(int argc, char** argv) {
     wconfig = std::move(parsed).ValueOrDie();
   }
   QueryGenerator generator(&config.schema);
-  // --threads routes workload generation through the parallel path;
-  // the result is byte-identical to the serial generator regardless.
+  // The parallel workload generator is byte-identical to the serial one
+  // at any thread count.
   ParallelWorkloadOptions woptions;
-  woptions.num_threads = threads >= 0 ? threads : 1;
+  woptions.num_threads = threads;
   auto workload = ParallelGenerateWorkload(generator, wconfig, woptions);
   if (!workload.ok()) {
     std::fprintf(stderr, "error: %s\n",

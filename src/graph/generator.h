@@ -11,6 +11,7 @@
 #define GMARK_GRAPH_GENERATOR_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,12 +23,19 @@ namespace gmark {
 
 class MetricRegistry;
 
-/// \brief Receives generated edges one at a time; implementations write
-/// to memory, disk, or just count.
+/// \brief Receives generated edges, one at a time (Append) or as a
+/// contiguous block (AppendBlock, what a shard store's drain hands
+/// over); implementations write to memory, disk, or just count.
 class EdgeSink {
  public:
   virtual ~EdgeSink() = default;
   virtual void Append(NodeId source, PredicateId predicate, NodeId target) = 0;
+  /// \brief Append every edge of `block` in order. The default calls
+  /// Append per edge; text sinks override it to format a whole block
+  /// before writing.
+  virtual void AppendBlock(std::span<const Edge> block) {
+    for (const Edge& e : block) Append(e.source, e.predicate, e.target);
+  }
   /// \brief Edges appended so far (uniform across output formats).
   virtual size_t count() const = 0;
 };

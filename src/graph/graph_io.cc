@@ -1,7 +1,13 @@
 #include "graph/graph_io.h"
 
+#include <algorithm>
+#include <charconv>
+#include <cstring>
 #include <istream>
+#include <limits>
 #include <ostream>
+#include <string_view>
+#include <utility>
 
 #include "util/string_util.h"
 
@@ -11,42 +17,138 @@ namespace {
 constexpr char kNodePrefix[] = "<http://gmark/n";
 constexpr char kPredPrefix[] = "<http://gmark/p/";
 constexpr char kTypePredicate[] = "<http://gmark/type>";
+constexpr char kCsvHeader[] = "source,predicate,target\n";
+/// Decimal digits of the largest NodeId (UINT64_MAX).
+constexpr size_t kMaxIdDigits = std::numeric_limits<NodeId>::digits10 + 1;
+
+char* Put(char* p, std::string_view piece) {
+  std::memcpy(p, piece.data(), piece.size());
+  return p + piece.size();
+}
+
+char* PutId(char* p, NodeId id) {
+  return std::to_chars(p, p + kMaxIdDigits, id).ptr;
+}
+
+size_t LongestPiece(const std::vector<std::string>& pieces) {
+  size_t longest = 0;
+  for (const std::string& piece : pieces) {
+    longest = std::max(longest, piece.size());
+  }
+  return longest;
+}
+
+std::vector<std::string> NTriplesPredicatePieces(const GraphSchema& schema) {
+  std::vector<std::string> mids;
+  for (PredicateId p = 0; p < schema.predicate_count(); ++p) {
+    mids.push_back(std::string("> ") + kPredPrefix + schema.PredicateName(p) +
+                   "> " + kNodePrefix);
+  }
+  return mids;
+}
+
+std::vector<std::string> CsvPredicatePieces(const GraphSchema& schema) {
+  std::vector<std::string> mids;
+  for (PredicateId p = 0; p < schema.predicate_count(); ++p) {
+    mids.push_back("," + schema.PredicateName(p) + ",");
+  }
+  return mids;
+}
+
+/// Feed every edge of `graph` to `sink`, predicate by predicate, in
+/// blocks of a bounded size.
+void AppendGraphEdges(const Graph& graph, EdgeSink* sink) {
+  constexpr size_t kBlockEdges = 4096;
+  std::vector<Edge> block;
+  block.reserve(kBlockEdges);
+  for (PredicateId p = 0; p < graph.predicate_count(); ++p) {
+    graph.ForEachEdge(p, [&](NodeId src, NodeId trg) {
+      block.push_back(Edge{src, p, trg});
+      if (block.size() == kBlockEdges) {
+        sink->AppendBlock(block);
+        block.clear();
+      }
+    });
+  }
+  sink->AppendBlock(block);
+}
+
 }  // namespace
 
-NTriplesSink::NTriplesSink(std::ostream* out, const GraphSchema* schema)
-    : out_(out), schema_(schema) {}
+namespace internal {
 
-void NTriplesSink::Append(NodeId source, PredicateId predicate,
+void LineBuffer::Flush() {
+  if (size_ == 0) return;
+  out_->write(data_.data(), static_cast<std::streamsize>(size_));
+  size_ = 0;
+}
+
+}  // namespace internal
+
+TextEdgeSink::TextEdgeSink(std::ostream* out, std::string head,
+                           std::vector<std::string> mids, std::string tail)
+    : buffer_(out),
+      head_(std::move(head)),
+      mids_(std::move(mids)),
+      tail_(std::move(tail)) {
+  max_line_ = head_.size() + 2 * kMaxIdDigits + LongestPiece(mids_) +
+              tail_.size();
+}
+
+char* TextEdgeSink::FormatLine(char* p, const Edge& e) const {
+  p = Put(p, head_);
+  p = PutId(p, e.source);
+  p = Put(p, mids_[e.predicate]);
+  p = PutId(p, e.target);
+  return Put(p, tail_);
+}
+
+void TextEdgeSink::Append(NodeId source, PredicateId predicate,
                           NodeId target) {
-  (*out_) << kNodePrefix << source << "> " << kPredPrefix
-          << schema_->PredicateName(predicate) << "> " << kNodePrefix
-          << target << "> .\n";
+  buffer_.Commit(FormatLine(buffer_.Reserve(max_line_),
+                            Edge{source, predicate, target}));
+  buffer_.Flush();
   ++count_;
 }
+
+void TextEdgeSink::AppendBlock(std::span<const Edge> block) {
+  for (const Edge& e : block) {
+    buffer_.Commit(FormatLine(buffer_.Reserve(max_line_), e));
+  }
+  buffer_.Flush();
+  count_ += block.size();
+}
+
+NTriplesSink::NTriplesSink(std::ostream* out, const GraphSchema* schema)
+    : TextEdgeSink(out, kNodePrefix, NTriplesPredicatePieces(*schema),
+                   "> .\n") {}
 
 CsvSink::CsvSink(std::ostream* out, const GraphSchema* schema)
-    : out_(out), schema_(schema) {
-  (*out_) << "source,predicate,target\n";
-}
-
-void CsvSink::Append(NodeId source, PredicateId predicate, NodeId target) {
-  (*out_) << source << ',' << schema_->PredicateName(predicate) << ','
-          << target << '\n';
-  ++count_;
+    : TextEdgeSink(out, "", CsvPredicatePieces(*schema), "\n") {
+  out->write(kCsvHeader, sizeof(kCsvHeader) - 1);
 }
 
 Status WriteNTriples(const Graph& graph, const GraphSchema& schema,
                      std::ostream* out, bool include_node_types) {
   NTriplesSink sink(out, &schema);
-  for (PredicateId p = 0; p < graph.predicate_count(); ++p) {
-    graph.ForEachEdge(
-        p, [&sink, p](NodeId src, NodeId trg) { sink.Append(src, p, trg); });
-  }
+  AppendGraphEdges(graph, &sink);
   if (include_node_types) {
-    for (NodeId v = 0; v < static_cast<NodeId>(graph.num_nodes()); ++v) {
-      (*out) << kNodePrefix << v << "> " << kTypePredicate << " \""
-             << schema.TypeName(graph.TypeOf(v)) << "\" .\n";
+    // `<node> <http://gmark/type> "<typename>" .`: the node IRI's head
+    // and id as in NTriplesSink, then one piece per type.
+    std::vector<std::string> type_pieces;
+    for (TypeId t = 0; t < schema.type_count(); ++t) {
+      type_pieces.push_back(std::string("> ") + kTypePredicate + " \"" +
+                            schema.TypeName(t) + "\" .\n");
     }
+    const size_t max_line = sizeof(kNodePrefix) - 1 + kMaxIdDigits +
+                            LongestPiece(type_pieces);
+    internal::LineBuffer buffer(out);
+    for (NodeId v = 0; v < static_cast<NodeId>(graph.num_nodes()); ++v) {
+      char* p = Put(buffer.Reserve(max_line), kNodePrefix);
+      p = PutId(p, v);
+      buffer.Commit(Put(p, type_pieces[graph.TypeOf(v)]));
+    }
+    buffer.Flush();
   }
   if (!*out) return Status::IOError("stream write failed");
   return Status::OK();
@@ -55,26 +157,28 @@ Status WriteNTriples(const Graph& graph, const GraphSchema& schema,
 Status WriteCsv(const Graph& graph, const GraphSchema& schema,
                 std::ostream* out) {
   CsvSink sink(out, &schema);
-  for (PredicateId p = 0; p < graph.predicate_count(); ++p) {
-    graph.ForEachEdge(
-        p, [&sink, p](NodeId src, NodeId trg) { sink.Append(src, p, trg); });
-  }
+  AppendGraphEdges(graph, &sink);
   if (!*out) return Status::IOError("stream write failed");
   return Status::OK();
 }
 
 namespace {
 
-/// Extract the numeric id from "<http://gmark/n123>".
+/// Extract the numeric id from "<http://gmark/n123>": decimal digits
+/// only (no sign, no whitespace), in the NodeId range.
 Result<NodeId> ParseNodeIri(const std::string& token) {
   if (!StartsWith(token, kNodePrefix) || token.back() != '>') {
     return Status::InvalidArgument("not a gMark node IRI: " + token);
   }
-  std::string digits =
-      token.substr(sizeof(kNodePrefix) - 1,
-                   token.size() - sizeof(kNodePrefix));
-  GMARK_ASSIGN_OR_RETURN(int64_t id, ParseInt(digits));
-  return static_cast<NodeId>(id);
+  const char* first = token.data() + sizeof(kNodePrefix) - 1;
+  const char* last = token.data() + token.size() - 1;
+  NodeId id = 0;
+  // from_chars accepts no '+' and, for an unsigned type, no '-'.
+  auto [end, ec] = std::from_chars(first, last, id);
+  if (first == last || ec != std::errc() || end != last) {
+    return Status::InvalidArgument("bad node id in IRI: " + token);
+  }
+  return id;
 }
 
 }  // namespace

@@ -94,13 +94,12 @@ class ShardStore {
   /// released shards must not be visited again.
   virtual void ReleaseRange(size_t begin, size_t end) = 0;
 
-  /// \brief Stream every edge into `out` in canonical shard order.
+  /// \brief Stream every edge into `out` in canonical shard order, one
+  /// replayed block per EdgeSink::AppendBlock call.
   Status Drain(EdgeSink* out) const {
     return VisitRange(0, shard_count(),
                       [out](std::span<const Edge> block) -> Status {
-                        for (const Edge& e : block) {
-                          out->Append(e.source, e.predicate, e.target);
-                        }
+                        out->AppendBlock(block);
                         return Status::OK();
                       });
   }
