@@ -1,11 +1,12 @@
-// Frontier-parallel evaluation ablation: the serial per-source BFS loop
-// versus the chunked executor fan-out (engine/evaluator.cc), per thread
-// count, on a dense recursive workload where per-source BFS dominates.
+// Frontier-parallel evaluation ablation: the serial loop over source
+// batches versus the chunked executor fan-out (engine/evaluator.cc), per
+// thread count, on a dense recursive workload where the product-graph
+// search dominates.
 //
 // Every parallel run is checked byte-identical to the serial oracle —
 // the count, the materialized pair vector (in source order), the budget
 // accounting (peak/used/over-releases), and the evaluation profile
-// (bfs_pops, peak frontier). Any divergence exits non-zero, which is
+// (bfs_pops, bfs_peak_frontier). Any divergence exits non-zero, which is
 // what the CI bench smoke relies on; the timing columns are informative
 // only (a 1-core container shows no speedup, the identity gate still
 // bites).
@@ -89,7 +90,7 @@ void PrintRow(const char* label, double count_seconds,
 }
 
 bool RunAblation(int64_t n) {
-  std::printf("dense n=%lld, query a* (recursive; per-source BFS)\n",
+  std::printf("dense n=%lld, query a* (recursive; multi-source BFS)\n",
               static_cast<long long>(n));
   const Graph g = DenseGraph(n);
   const Nfa nfa = StarANfa();

@@ -124,7 +124,7 @@ class MaterializingEngine : public QueryEngine {
                                              size_t conjunct_index) const = 0;
 
   /// Intra-query parallelism knobs; strategies that can fan out
-  /// (the S engine's per-source BFS) pass them to their evaluator.
+  /// (the S engine's product-graph search) pass them to their evaluator.
   const EvalOptions& options() const { return opts_; }
 
  private:
@@ -175,7 +175,8 @@ class DatalogEngine : public MaterializingEngine {
   }
 };
 
-/// S: W3C ALP property-path evaluation (per-source BFS) per conjunct.
+/// S: W3C ALP property-path evaluation (multi-source product-graph
+/// search) per conjunct.
 class SparqlEngine : public MaterializingEngine {
  public:
   using MaterializingEngine::MaterializingEngine;
@@ -183,7 +184,7 @@ class SparqlEngine : public MaterializingEngine {
   EngineKind kind() const override { return EngineKind::kSparql; }
   std::string description() const override {
     return "SPARQL engine: property paths via the ALP procedure "
-           "(per-source BFS), triple-pattern hash joins";
+           "(multi-source BFS), triple-pattern hash joins";
   }
 
  protected:
@@ -192,8 +193,8 @@ class SparqlEngine : public MaterializingEngine {
                                      EvalProfile* profile,
                                      size_t /*conjunct_index*/) const override {
     GMARK_ASSIGN_OR_RETURN(Nfa nfa, Nfa::FromRegex(c.expr));
-    // The ALP per-source BFS is the one strategy with an embarrassing
-    // source loop — it chunks over the executor; results stay
+    // The ALP search is the one strategy with an embarrassing source
+    // loop — its source batches chunk over the executor; results stay
     // byte-identical (see evaluator.h).
     RpqEvaluator rpq(&graph, options());
     return rpq.MaterializePairs(nfa, budget, profile);

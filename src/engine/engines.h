@@ -7,7 +7,8 @@
 //       iterate-to-fixpoint of the linear-recursive view (each round
 //       rejoins the whole accumulated relation).
 //   S — SparqlEngine: SPARQL 1.1 property paths evaluated per the W3C
-//       ALP procedure (per-source BFS), conjuncts joined afterwards.
+//       ALP procedure (multi-source product-graph search), conjuncts
+//       joined afterwards.
 //   G — CypherEngine: DFS pattern enumeration under relationship-
 //       isomorphism semantics; variable-length patterns support neither
 //       inverse nor concatenation (dropped, §7.1), so recursive answers
@@ -64,8 +65,9 @@ class QueryEngine {
 std::unique_ptr<QueryEngine> MakeEngine(EngineKind kind);
 
 /// \brief Instantiate a simulator that may parallelize within a query
-/// per `opts` (the S engine's per-source BFS chunks over the executor;
-/// the other strategies are inherently sequential and ignore it).
+/// per `opts` (the S engine's product-graph search chunks over the
+/// executor; the other strategies are inherently sequential and ignore
+/// it).
 /// Results are byte-identical to the serial engine at any thread
 /// count; `opts.executor` must outlive the engine's evaluations.
 std::unique_ptr<QueryEngine> MakeEngine(EngineKind kind,

@@ -13,8 +13,8 @@ class Planner;
 
 /// \brief How an evaluation may use threads. Results are byte-identical
 /// at every setting — parallelism only reorders which thread runs which
-/// source chunk; chunk results merge in source order and the budget
-/// fold is deterministic (see ConcurrentBudgetScope).
+/// chunk of source batches; chunk results merge in source order and the
+/// budget fold is deterministic (see ConcurrentBudgetScope).
 struct EvalOptions {
   /// Selectivity-driven planner (plan/planner.h); null evaluates the
   /// identity plan (written order, forward traversal). Not owned; must
@@ -29,9 +29,10 @@ struct EvalOptions {
   /// Submit).
   Executor* executor = nullptr;
 
-  /// Sources per parallel chunk; 0 picks a size that gives each worker
-  /// several chunks to balance skew (dense sources cost arbitrarily
-  /// more than empty ones). Any value yields identical results.
+  /// Starting sources per parallel chunk, rounded up to whole 64-source
+  /// search batches; 0 picks a size that gives each worker several
+  /// chunks to balance skew (dense sources cost arbitrarily more than
+  /// sparse ones). Any value yields identical results.
   size_t chunk_sources = 0;
 };
 

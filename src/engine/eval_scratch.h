@@ -1,12 +1,15 @@
-// Reusable BFS working state for the RPQ evaluator.
+// Reusable working state for the RPQ evaluator's batched product-graph
+// search (evaluator.cc).
 //
-// The product-graph BFS needs a visited set over n*k product states and
-// an accepted set over n nodes. Allocating (and zeroing) those per call
-// costs O(n*k) before the first state pops — which dominated
-// TargetsFrom's per-seed calls and would be paid per chunk by the
-// frontier-parallel evaluator. EvalScratch owns the buffers once;
-// ResettableBitset resets in O(touched words), so reuse across sources,
-// seeds, and chunks is O(1) amortized.
+// One search walks a batch of up to 64 sources at once. Every product
+// state (node, nfa_state) carries two 64-bit source masks: `seen`, the
+// batch sources that reached it, and `pending`, those of them not yet
+// propagated along its outgoing transitions. Both cover all n*k product
+// states — 2*n*k words (16 bytes per product state) per worker, against
+// the n*k bits of the one-source-at-a-time search this replaced — plus
+// worklists bounded by the states one batch touches. The masks are
+// allocated once per scratch and reset in O(touched states) between
+// batches and chunks, never in O(n*k).
 
 #ifndef GMARK_ENGINE_EVAL_SCRATCH_H_
 #define GMARK_ENGINE_EVAL_SCRATCH_H_
@@ -19,63 +22,51 @@
 
 namespace gmark {
 
-/// \brief Dense bit set with O(touched) reset, for reuse across BFS
-/// sources. Words are lazily grown; Reset() only clears words actually
-/// touched since the last reset.
-class ResettableBitset {
- public:
-  ResettableBitset() = default;
-  explicit ResettableBitset(size_t bits) : words_((bits + 63) / 64, 0) {}
-
-  /// \brief Grow to cover `bits` (new words start zeroed). Existing
-  /// set bits are preserved; callers reusing scratch across queries
-  /// Reset() first.
-  void EnsureBits(size_t bits) {
-    size_t words = (bits + 63) / 64;
-    if (words > words_.size()) words_.resize(words, 0);
-  }
-
-  bool TestAndSet(size_t i) {
-    size_t w = i >> 6;
-    uint64_t mask = uint64_t{1} << (i & 63);
-    if (words_[w] & mask) return true;
-    if (words_[w] == 0) touched_.push_back(w);
-    words_[w] |= mask;
-    return false;
-  }
-
-  void Reset() {
-    for (size_t w : touched_) words_[w] = 0;
-    touched_.clear();
-  }
-
- private:
-  std::vector<uint64_t> words_;
-  std::vector<size_t> touched_;
+/// \brief The two source masks of one product state, kept side by side
+/// so a transition's test-and-set touches one cache line.
+struct ProductMasks {
+  uint64_t seen = 0;     ///< Batch sources that reached this state.
+  uint64_t pending = 0;  ///< Of those, the ones not yet propagated.
 };
 
-/// \brief One BFS worker's private working state: the visited/accepted
-/// sets, the DFS-order frontier stack, and the per-source target
-/// buffer. Owned by one thread at a time — the serial evaluator keeps
-/// one, the frontier-parallel evaluator keeps one per pool worker
-/// (indexed by ThreadPool::CurrentWorkerId()), and TargetsFrom callers
-/// running per-seed fixpoints pass one in to stop paying the O(n*k)
-/// allocation per seed.
+/// \brief One search worker's private working state. Owned by one
+/// thread at a time — the serial evaluator keeps one, the
+/// frontier-parallel evaluator keeps one per pool worker (indexed by
+/// ThreadPool::CurrentWorkerId()).
 struct EvalScratch {
-  ResettableBitset visited;
-  ResettableBitset accepted;
-  std::vector<uint64_t> stack;
-  std::vector<NodeId> targets;
+  /// Masks of product state u*k + q; all zero between batches.
+  std::vector<ProductMasks> masks;
+  /// Flat indexes of the states whose `seen` is non-zero: what Reset()
+  /// clears.
+  std::vector<uint64_t> touched;
+  /// The current and the next level of the batch worklist (flat
+  /// indexes of states with non-zero `pending`).
+  std::vector<uint64_t> level;
+  std::vector<uint64_t> next_level;
+  /// Nodes whose accept state the batch reached, in discovery order.
+  std::vector<NodeId> accepted;
+  /// One bit per node: `accepted` in id order while a materializing
+  /// batch lays out its pairs; all zero otherwise.
+  std::vector<uint64_t> accepted_marks;
 
   /// \brief Size for a graph of `n` nodes and an NFA of `k` states and
   /// clear all previous marks. Idempotent and cheap when already sized.
   void Prepare(size_t n, size_t k) {
-    visited.EnsureBits(n * k);
-    accepted.EnsureBits(n);
-    visited.Reset();
-    accepted.Reset();
-    stack.clear();
-    targets.clear();
+    if (masks.size() < n * k) masks.resize(n * k);
+    if (accepted_marks.size() < (n + 63) / 64) {
+      accepted_marks.resize((n + 63) / 64);
+    }
+    Reset();
+  }
+
+  /// \brief Zero every mask the last batch set, in O(touched) — also
+  /// after a batch that stopped part-way on its budget.
+  void Reset() {
+    for (uint64_t i : touched) masks[i] = ProductMasks{};
+    touched.clear();
+    level.clear();
+    next_level.clear();
+    accepted.clear();
   }
 };
 

@@ -1,9 +1,12 @@
 #include "engine/evaluator.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <utility>
 
 #include "engine/engine_common.h"
+#include "engine/eval_scratch.h"
 #include "obs/metrics.h"
 #include "parallel/executor.h"
 #include "parallel/thread_pool.h"
@@ -13,25 +16,23 @@ namespace gmark {
 
 namespace {
 
-/// Flushes locally accumulated BFS statistics into an EvalProfile on
-/// every exit path — a query killed by its budget mid-traversal is
-/// exactly the one whose statistics must survive to explain the kill.
-struct BfsStatsFlush {
-  EvalProfile* profile;
-  const uint64_t* pops;
-  const uint64_t* peak_frontier;
+/// Sources one product-graph search walks at once: one bit of a
+/// ProductMasks word each.
+constexpr size_t kBatchSources = 64;
 
-  ~BfsStatsFlush() {
-    if (profile == nullptr) return;
-    profile->bfs_pops += *pops;
-    if (*peak_frontier > profile->bfs_peak_frontier) {
-      profile->bfs_peak_frontier = *peak_frontier;
-    }
-  }
-};
+/// Population count. std::popcount becomes a library call on baseline
+/// x86-64 builds (no popcnt instruction), once per set of fresh bits.
+inline uint64_t BitCount(uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  return (x * 0x0101010101010101ULL) >> 56;
+}
 
-/// Chunk-local variant: flushes into the chunk's private stats shard
-/// (merged into the profile later, in chunk order) on every exit path.
+/// Flushes chunk-local search statistics into the chunk's stats shard
+/// (merged into the profile later, in chunk order) on every exit path —
+/// a query killed by its budget mid-traversal is exactly the one whose
+/// statistics must survive to explain the kill.
 struct BfsShardFlush {
   BfsStatsShard* shard;
   const uint64_t* pops;
@@ -45,8 +46,61 @@ struct BfsShardFlush {
   }
 };
 
+/// The batch partition of one evaluation, fixed by the input alone: the
+/// starting sources (nodes with an edge matching a transition out of
+/// the NFA's start state) in id order, cut into consecutive runs of
+/// kBatchSources. Batch b also owns the node-id range from its first
+/// source up to the next batch's first source (batch 0 from id 0, the
+/// last batch up to n), so the batches' id ranges tile [0, n) and the
+/// non-starting sources an epsilon NFA accepts are charged in place.
+struct SourceBatches {
+  std::vector<NodeId> starts;
+  size_t n = 0;
+
+  /// One batch per kBatchSources starting sources; a graph with nodes
+  /// but no starting source still has one (search-free) batch, whose
+  /// range carries the epsilon pairs.
+  size_t count() const {
+    if (n == 0) return 0;
+    return std::max<size_t>(1, (starts.size() + kBatchSources - 1) /
+                                   kBatchSources);
+  }
+  size_t first_source(size_t b) const { return b * kBatchSources; }
+  size_t width(size_t b) const {
+    const size_t first = first_source(b);
+    return first >= starts.size()
+               ? 0
+               : std::min(kBatchSources, starts.size() - first);
+  }
+  size_t id_begin(size_t b) const {
+    return b == 0 ? 0 : static_cast<size_t>(starts[first_source(b)]);
+  }
+  size_t id_end(size_t b) const {
+    return b + 1 < count() ? id_begin(b + 1) : n;
+  }
+};
+
+SourceBatches ListStartingSources(const Graph& graph, const Nfa& nfa) {
+  SourceBatches batches;
+  batches.n = static_cast<size_t>(graph.num_nodes());
+  const auto start_transitions = nfa.TransitionsFrom(nfa.start());
+  for (size_t v = 0; v < batches.n; ++v) {
+    const NodeId node = static_cast<NodeId>(v);
+    for (const NfaTransition& t : start_transitions) {
+      const auto neighbors =
+          t.symbol.inverse ? graph.InNeighbors(t.symbol.predicate, node)
+                           : graph.OutNeighbors(t.symbol.predicate, node);
+      if (!neighbors.empty()) {
+        batches.starts.push_back(node);
+        break;
+      }
+    }
+  }
+  return batches;
+}
+
 /// One chunk's private output: its sources' accepted-pair count (and
-/// the pairs themselves when materializing), its BFS statistics, and
+/// the pairs themselves when materializing), its search statistics, and
 /// the tuple charge it left parked on its worker tracker. Written by
 /// exactly one task; read by the merging thread after Executor::Wait().
 struct SourceChunk {
@@ -56,103 +110,153 @@ struct SourceChunk {
   size_t charged = 0;
 };
 
-/// Evaluates sources [begin, end) against `nfa`, charging each source's
-/// accepted targets on `budget` (the chunk's tracker). On success the
-/// accumulated charge is disarmed into out->charged — it stays on the
-/// tracker so the cross-chunk peak reproduces the serial evaluator's —
-/// and the caller re-guards it after the budget fold. On failure the
-/// chunk's own guard releases its charge before returning; statistics
-/// reach out->stats on every exit path.
-Status RunSourceChunk(const Graph& graph, const Nfa& nfa,
-                      const std::vector<NfaTransition>& start_transitions,
-                      size_t begin, size_t end, bool materialize,
-                      EvalScratch& scratch, BudgetTracker* budget,
-                      SourceChunk* out) {
-  const size_t n = static_cast<size_t>(graph.num_nodes());
-  const size_t k = nfa.state_count();
+/// Multi-source search of one batch (MS-BFS, Then et al., VLDB 2014):
+/// the batch's sources start as bits of their seed states' masks, and a
+/// popped state sends its pending bits along every NFA transition,
+/// keeping only the bits each successor has not seen. On return every
+/// (source, product state) pair the per-source search would visit is a
+/// set bit of `seen`, and scratch.accepted lists the nodes whose accept
+/// state any source reached. `pops` grows by one per set bit, so it
+/// counts (source, product state) visits.
+Status SearchBatch(const Graph& graph, const Nfa& nfa, const NodeId* sources,
+                   size_t width, EvalScratch& scratch,
+                   PeriodicTimeCheck& time_check, uint64_t* pops,
+                   uint64_t* peak_frontier) {
+  const uint64_t k = nfa.state_count();
+  const uint32_t accept = nfa.accept();
+  std::vector<ProductMasks>& masks = scratch.masks;
+  for (size_t b = 0; b < width; ++b) {
+    const uint64_t seed = sources[b] * k + nfa.start();
+    masks[seed] = ProductMasks{uint64_t{1} << b, uint64_t{1} << b};
+    scratch.touched.push_back(seed);
+    scratch.level.push_back(seed);
+    if (nfa.start() == accept) scratch.accepted.push_back(sources[b]);
+  }
+  *pops += width;
+  while (!scratch.level.empty()) {
+    *peak_frontier = std::max<uint64_t>(*peak_frontier, scratch.level.size());
+    for (const uint64_t packed : scratch.level) {
+      GMARK_RETURN_NOT_OK(time_check.Check());
+      const uint64_t m = masks[packed].pending;
+      masks[packed].pending = 0;
+      const NodeId u = packed / k;
+      const uint32_t q = static_cast<uint32_t>(packed - u * k);
+      for (const NfaTransition& t : nfa.TransitionsFrom(q)) {
+        auto neighbors = t.symbol.inverse
+                             ? graph.InNeighbors(t.symbol.predicate, u)
+                             : graph.OutNeighbors(t.symbol.predicate, u);
+        for (NodeId w : neighbors) {
+          const uint64_t next = w * k + t.to;
+          ProductMasks& target = masks[next];
+          const uint64_t fresh = m & ~target.seen;
+          if (fresh == 0) continue;
+          if (target.seen == 0) {
+            scratch.touched.push_back(next);
+            if (t.to == accept) scratch.accepted.push_back(w);
+          }
+          target.seen |= fresh;
+          *pops += BitCount(fresh);
+          if (target.pending == 0) scratch.next_level.push_back(next);
+          target.pending |= fresh;
+        }
+      }
+    }
+    scratch.level.swap(scratch.next_level);
+    scratch.next_level.clear();
+  }
+  return Status::OK();
+}
+
+/// Evaluates batches [batch_begin, batch_end) against `nfa`, charging
+/// each source's accepted targets on `budget` (the chunk's tracker) in
+/// source-id order once its batch's search is done: a starting source
+/// its target count, a non-starting source the one epsilon pair when
+/// the NFA accepts the empty word. That is the per-source search's
+/// exact Charge sequence. On success the accumulated charge is disarmed
+/// into out->charged — it stays on the tracker so the cross-chunk peak
+/// reproduces the serial evaluator's — and the caller re-guards it
+/// after the budget fold. On failure the chunk's own guard releases its
+/// charge before returning; statistics reach out->stats on every exit
+/// path.
+Status RunBatches(const Graph& graph, const Nfa& nfa,
+                  const SourceBatches& batches, size_t batch_begin,
+                  size_t batch_end, bool materialize, EvalScratch& scratch,
+                  BudgetTracker* budget, SourceChunk* out) {
+  const uint64_t k = nfa.state_count();
   const uint32_t accept = nfa.accept();
   const bool epsilon = nfa.AcceptsEpsilon();
-  scratch.Prepare(n, k);
-  ResettableBitset& visited = scratch.visited;
-  ResettableBitset& accepted_set = scratch.accepted;
-  std::vector<uint64_t>& stack = scratch.stack;
-  std::vector<NodeId>& targets = scratch.targets;
-
-  // A node can begin a non-empty match only if it has at least one edge
-  // matching a transition out of the start state (hoisted list — built
-  // once per query, not re-walked per source).
-  auto has_start_edge = [&](NodeId v) {
-    for (const NfaTransition& t : start_transitions) {
-      size_t deg = t.symbol.inverse
-                       ? graph.InNeighbors(t.symbol.predicate, v).size()
-                       : graph.OutNeighbors(t.symbol.predicate, v).size();
-      if (deg > 0) return true;
-    }
-    return false;
-  };
+  if (!batches.starts.empty()) scratch.Prepare(batches.n, k);
 
   TupleCharge charge(budget);
-  // Amortized wall-clock enforcement inside the per-source BFS: the
-  // per-source check alone would let one dense source overshoot the
-  // timeout unboundedly (its whole product-graph traversal runs
-  // between two checks). One checker per chunk — time checkers are
-  // single-owner like the trackers they wrap.
+  // Amortized wall-clock enforcement inside the search: one clock read
+  // per ~4096 worklist pops, plus one per batch. One checker per chunk —
+  // time checkers are single-owner like the trackers they wrap.
   PeriodicTimeCheck time_check(budget);
-  // Profile statistics accumulate in locals (registers) and flush once
-  // on scope exit, so a null or live profile costs the BFS loop nothing.
+  // Profile statistics accumulate in locals and flush once on scope
+  // exit, so a null or live profile costs the search loop nothing.
   uint64_t pops = 0;
   uint64_t peak_frontier = 0;
   BfsShardFlush flush{&out->stats, &pops, &peak_frontier};
 
-  for (size_t si = begin; si < end; ++si) {
-    const NodeId source = static_cast<NodeId>(si);
-    const bool starts = has_start_edge(source);
-    if (!starts && !epsilon) continue;
+  uint64_t counts[kBatchSources];
+  size_t offsets[kBatchSources];
+  for (size_t bi = batch_begin; bi < batch_end; ++bi) {
+    const size_t width = batches.width(bi);
+    const NodeId* sources = batches.starts.data() + batches.first_source(bi);
+    GMARK_RETURN_NOT_OK(SearchBatch(graph, nfa, sources, width, scratch,
+                                    time_check, &pops, &peak_frontier));
     GMARK_RETURN_NOT_OK(budget->CheckTime());
 
-    targets.clear();
-    visited.Reset();
-    accepted_set.Reset();
-    if (epsilon) {
-      // The empty word matches every node with itself (W3C ALP
-      // zero-length path semantics).
-      accepted_set.TestAndSet(source);
-      targets.push_back(source);
-    }
-    if (starts) {
-      stack.clear();
-      uint64_t init = static_cast<uint64_t>(source) * k + nfa.start();
-      visited.TestAndSet(init);
-      stack.push_back(init);
-      if (stack.size() > peak_frontier) peak_frontier = stack.size();
-      while (!stack.empty()) {
-        GMARK_RETURN_NOT_OK(time_check.Check());
-        uint64_t packed = stack.back();
-        stack.pop_back();
-        ++pops;
-        NodeId u = static_cast<NodeId>(packed / k);
-        uint32_t q = static_cast<uint32_t>(packed % k);
-        if (q == accept && !accepted_set.TestAndSet(u)) {
-          targets.push_back(u);
-        }
-        for (const NfaTransition& t : nfa.TransitionsFrom(q)) {
-          auto neighbors =
-              t.symbol.inverse
-                  ? graph.InNeighbors(t.symbol.predicate, u)
-                  : graph.OutNeighbors(t.symbol.predicate, u);
-          for (NodeId w : neighbors) {
-            uint64_t next = static_cast<uint64_t>(w) * k + t.to;
-            if (!visited.TestAndSet(next)) stack.push_back(next);
-          }
-        }
-        if (stack.size() > peak_frontier) peak_frontier = stack.size();
+    std::fill(counts, counts + width, 0);
+    for (NodeId u : scratch.accepted) {
+      for (uint64_t m = scratch.masks[u * k + accept].seen; m != 0;
+           m &= m - 1) {
+        ++counts[std::countr_zero(m)];
       }
     }
-    out->count += targets.size();
-    GMARK_RETURN_NOT_OK(charge.Charge(targets.size()));
-    if (materialize) {
-      for (NodeId t : targets) out->pairs.emplace_back(source, t);
+    // Charge every source of the batch's id range in id order, and lay
+    // out its pairs: a non-starting source's one slot already holds its
+    // epsilon pair, a starting source's slots are filled below.
+    size_t bit = 0;
+    for (size_t id = batches.id_begin(bi); id < batches.id_end(bi); ++id) {
+      uint64_t targets = 1;
+      if (bit < width && sources[bit] == id) {
+        offsets[bit] = out->pairs.size();
+        targets = counts[bit++];
+      } else if (!epsilon) {
+        continue;
+      }
+      out->count += targets;
+      GMARK_RETURN_NOT_OK(charge.Charge(targets));
+      if (materialize) {
+        out->pairs.resize(out->pairs.size() + targets, {id, id});
+      }
     }
+    if (materialize) {
+      // Within a source, targets come out in ascending node id: the
+      // accepted nodes are marked in a bitset and read back in word
+      // order, over the marked words only — linear, where a per-batch
+      // sort made small-output calls ~30% slower.
+      std::vector<uint64_t>& marks = scratch.accepted_marks;
+      size_t lo = SIZE_MAX, hi = 0;  // Empty until a node is marked.
+      for (NodeId u : scratch.accepted) {
+        marks[u >> 6] |= uint64_t{1} << (u & 63);
+        lo = std::min<size_t>(lo, u >> 6);
+        hi = std::max<size_t>(hi, u >> 6);
+      }
+      for (size_t w = lo; w <= hi; ++w) {
+        for (uint64_t word = std::exchange(marks[w], 0); word != 0;
+             word &= word - 1) {
+          const NodeId u = w * 64 + std::countr_zero(word);
+          for (uint64_t m = scratch.masks[u * k + accept].seen; m != 0;
+               m &= m - 1) {
+            const int b = std::countr_zero(m);
+            out->pairs[offsets[b]++] = {sources[b], u};
+          }
+        }
+      }
+    }
+    scratch.Reset();
   }
   out->charged = charge.Disarm();
   return Status::OK();
@@ -171,7 +275,7 @@ void RecordEvalMetrics(uint64_t sources, size_t chunks,
                     stats.peak_frontier);
 }
 
-/// Merged result of the per-source driver: the total accepted-pair
+/// Merged result of ForEachSource: the total accepted-pair
 /// count, the pairs in source order (when materializing), and the guard
 /// over every tuple still charged on the caller's tracker.
 struct MergedSources {
@@ -180,9 +284,11 @@ struct MergedSources {
   TupleCharge charge;
 };
 
-/// Shared driver behind CountPairs/MaterializePairs: runs every source
-/// through the product-graph BFS, serially or chunked over
-/// opts.executor. Chunk results merge in source order and per-worker
+/// Shared body of CountPairs/MaterializePairs: runs every batch
+/// of sources through the multi-source search, serially or chunked over
+/// opts.executor. Chunks cover whole batches, so batch contents — and
+/// with them every count, pair, charge and statistic — do not depend on
+/// the chunking. Chunk results merge in source order and per-worker
 /// budget charges fold deterministically, so the returned value — and
 /// the tracker/profile accounting on the success path — is identical at
 /// any thread or chunk count.
@@ -190,29 +296,28 @@ Result<MergedSources> ForEachSource(const Graph& graph, const Nfa& nfa,
                                     const EvalOptions& opts, bool materialize,
                                     BudgetTracker* budget,
                                     EvalProfile* profile) {
-  const size_t n = static_cast<size_t>(graph.num_nodes());
-  const auto start_span = nfa.TransitionsFrom(nfa.start());
-  const std::vector<NfaTransition> start_transitions(start_span.begin(),
-                                                     start_span.end());
+  const SourceBatches batches = ListStartingSources(graph, nfa);
+  const size_t num_batches = batches.count();
 
   const int workers = opts.executor != nullptr ? opts.executor->workers() : 1;
-  size_t chunk = opts.chunk_sources;
-  if (chunk == 0) {
+  size_t chunk_batches =
+      (opts.chunk_sources + kBatchSources - 1) / kBatchSources;
+  if (chunk_batches == 0) {
     // Several chunks per worker so one dense chunk cannot serialize the
-    // tail; floor of 16 keeps tiny graphs from drowning in task
-    // overhead. Chunking never affects results, only load balance.
-    chunk = std::max<size_t>(16, n / (8 * static_cast<size_t>(workers)));
+    // tail. Chunking never affects results, only load balance.
+    chunk_batches = std::max<size_t>(
+        1, num_batches / (8 * static_cast<size_t>(workers)));
   }
-  const size_t num_chunks = n == 0 ? 0 : (n + chunk - 1) / chunk;
+  const size_t num_chunks = (num_batches + chunk_batches - 1) / chunk_batches;
 
   MergedSources merged;
   if (workers <= 1 || num_chunks <= 1) {
     EvalScratch scratch;
     SourceChunk out;
-    Status st = RunSourceChunk(graph, nfa, start_transitions, 0, n,
-                               materialize, scratch, budget, &out);
+    Status st = RunBatches(graph, nfa, batches, 0, num_batches, materialize,
+                           scratch, budget, &out);
     if (profile != nullptr) profile->AddBfs(out.stats);
-    RecordEvalMetrics(n, num_chunks, out.stats);
+    RecordEvalMetrics(batches.n, num_chunks, out.stats);
     GMARK_RETURN_NOT_OK(st);
     merged.count = out.count;
     merged.pairs = std::move(out.pairs);
@@ -224,18 +329,18 @@ Result<MergedSources> ForEachSource(const Graph& graph, const Nfa& nfa,
   // worker it lands on (ThreadPool::CurrentWorkerId(): pool workers are
   // 1..workers, so the scope holds workers+1 trackers) and reuses that
   // worker's scratch. Chunks are independent, so results depend only on
-  // the [begin, end) partition — never on scheduling.
+  // the batch partition — never on scheduling.
   ConcurrentBudgetScope scope(budget, workers + 1);
   std::vector<SourceChunk> chunks(num_chunks);
   std::vector<EvalScratch> scratch(static_cast<size_t>(workers) + 1);
   for (size_t ci = 0; ci < num_chunks; ++ci) {
-    opts.executor->Submit([&, ci, chunk] {
+    opts.executor->Submit([&, ci, chunk_batches] {
       const int wid = ThreadPool::CurrentWorkerId();
-      const size_t begin = ci * chunk;
-      const size_t end = std::min(n, begin + chunk);
-      Status st = RunSourceChunk(graph, nfa, start_transitions, begin, end,
-                                 materialize, scratch[static_cast<size_t>(wid)],
-                                 &scope.worker(wid), &chunks[ci]);
+      const size_t begin = ci * chunk_batches;
+      const size_t end = std::min(num_batches, begin + chunk_batches);
+      Status st = RunBatches(graph, nfa, batches, begin, end, materialize,
+                             scratch[static_cast<size_t>(wid)],
+                             &scope.worker(wid), &chunks[ci]);
       if (!st.ok()) scope.ReportFailure(ci, std::move(st));
     });
   }
@@ -251,7 +356,7 @@ Result<MergedSources> ForEachSource(const Graph& graph, const Nfa& nfa,
   BfsStatsShard stats;
   for (const SourceChunk& c : chunks) stats.Merge(c.stats);
   if (profile != nullptr) profile->AddBfs(stats);
-  RecordEvalMetrics(n, num_chunks, stats);
+  RecordEvalMetrics(batches.n, num_chunks, stats);
   GMARK_RETURN_NOT_OK(scope.first_failure());
 
   if (materialize) {
@@ -296,65 +401,6 @@ RpqEvaluator::MaterializePairs(const Nfa& nfa, BudgetTracker* budget,
                     profile));
   return Charged<std::vector<std::pair<NodeId, NodeId>>>(
       std::move(merged.pairs), std::move(merged.charge));
-}
-
-Result<Charged<std::vector<NodeId>>> RpqEvaluator::TargetsFrom(
-    NodeId source, const Nfa& nfa, BudgetTracker* budget,
-    EvalProfile* profile, EvalScratch* scratch) const {
-  const size_t n = static_cast<size_t>(graph_->num_nodes());
-  const size_t k = nfa.state_count();
-  // Per-seed callers (Kleene fixpoints) pass persistent scratch so the
-  // n*k visited set is allocated once, not per seed; the fallback keeps
-  // one-off calls simple.
-  EvalScratch local;
-  EvalScratch& s = scratch != nullptr ? *scratch : local;
-  s.Prepare(n, k);
-  ResettableBitset& visited = s.visited;
-  ResettableBitset& accepted = s.accepted;
-  std::vector<uint64_t>& stack = s.stack;
-  std::vector<NodeId> targets;
-  TupleCharge charge(budget);
-  if (nfa.AcceptsEpsilon()) {
-    accepted.TestAndSet(source);
-    // The reflexive target is a held row like any other: it was never
-    // charged before the RAII migration (a benign under-count the
-    // charge == rows-held invariant no longer tolerates).
-    GMARK_RETURN_NOT_OK(charge.Charge(1));
-    targets.push_back(source);
-  }
-  uint64_t init = static_cast<uint64_t>(source) * k + nfa.start();
-  visited.TestAndSet(init);
-  stack.push_back(init);
-  // Amortized: the per-pop clock syscall this loop used to pay
-  // dominated small traversals; the shared helper keeps enforcement
-  // within ~4096 pops of the deadline at negligible cost.
-  PeriodicTimeCheck time_check(budget);
-  uint64_t pops = 0;
-  uint64_t peak_frontier = stack.size();
-  BfsStatsFlush flush{profile, &pops, &peak_frontier};
-  while (!stack.empty()) {
-    GMARK_RETURN_NOT_OK(time_check.Check());
-    uint64_t packed = stack.back();
-    stack.pop_back();
-    ++pops;
-    NodeId u = static_cast<NodeId>(packed / k);
-    uint32_t q = static_cast<uint32_t>(packed % k);
-    if (q == nfa.accept() && !accepted.TestAndSet(u)) {
-      GMARK_RETURN_NOT_OK(charge.Charge(1));
-      targets.push_back(u);
-    }
-    for (const NfaTransition& t : nfa.TransitionsFrom(q)) {
-      auto neighbors = t.symbol.inverse
-                           ? graph_->InNeighbors(t.symbol.predicate, u)
-                           : graph_->OutNeighbors(t.symbol.predicate, u);
-      for (NodeId w : neighbors) {
-        uint64_t next = static_cast<uint64_t>(w) * k + t.to;
-        if (!visited.TestAndSet(next)) stack.push_back(next);
-      }
-    }
-    if (stack.size() > peak_frontier) peak_frontier = stack.size();
-  }
-  return Charged<std::vector<NodeId>>(std::move(targets), std::move(charge));
 }
 
 Result<ChargedRelation> ReferenceEvaluator::EvaluateRuleJoin(
@@ -442,14 +488,14 @@ Result<uint64_t> ReferenceEvaluator::CountDistinct(
     if (chain.ok()) {
       std::vector<Conjunct> conjuncts = chain.ValueOrDie();
       if (plan.rules[0].chain_backward) {
+        // Reversed order, each conjunct endpoint-swapped and
+        // regex-reversed: the backward-step resolution every engine uses.
+        PlanStep backward;
+        backward.backward = true;
         std::vector<Conjunct> reversed;
         reversed.reserve(conjuncts.size());
         for (auto it = conjuncts.rbegin(); it != conjuncts.rend(); ++it) {
-          Conjunct rc;
-          rc.source = it->target;
-          rc.target = it->source;
-          rc.expr = ReverseRegex(it->expr);
-          reversed.push_back(std::move(rc));
+          reversed.push_back(EffectiveConjunct(*it, backward));
         }
         conjuncts = std::move(reversed);
       }

@@ -1,16 +1,19 @@
 // The reference UCRPQ evaluator: the measurement substrate behind the
 // paper's selectivity-quality experiments (Table 2, Figs. 10/11).
 //
-// Regular path queries are evaluated by breadth-first search over the
-// implicit product of the graph with the query NFA, one source node at
-// a time, with O(1) amortized state reset between sources. Binary chain
-// queries are evaluated as a single composed RPQ (sound under set
-// semantics with endpoint projection), which avoids materializing
-// intermediate join relations — essential for counting quadratic
-// queries. Non-chain shapes fall back to hash-join evaluation.
+// Regular path queries are evaluated by a bit-parallel multi-source
+// search over the implicit product of the graph with the query NFA, in
+// the style of MS-BFS (Then et al., VLDB 2014): the sources that can
+// begin a match are listed in id order and walked in batches of 64, one
+// bit of a 64-bit mask per source on every product state, so sources
+// that reach the same states share one traversal. Binary chain queries
+// are evaluated as a single composed RPQ (sound under set semantics
+// with endpoint projection), which avoids materializing intermediate
+// join relations — essential for counting quadratic queries. Non-chain
+// shapes fall back to hash-join evaluation.
 //
-// Per-source BFS runs are independent, so when an EvalOptions carries a
-// multi-worker Executor the source loop is chunked across it: each
+// The batches are fixed by the input, so when an EvalOptions carries a
+// multi-worker Executor the batch list is chunked across it: each
 // worker reuses private EvalScratch and charges a private
 // ConcurrentBudgetScope tracker, and chunk results merge in source
 // order — counts, pairs, profiles, and budget accounting are
@@ -25,7 +28,6 @@
 #include "engine/automaton.h"
 #include "engine/budget.h"
 #include "engine/eval_options.h"
-#include "engine/eval_scratch.h"
 #include "engine/relation.h"
 #include "graph/graph.h"
 #include "obs/eval_profile.h"
@@ -35,9 +37,10 @@
 
 namespace gmark {
 
-/// \brief Low-level RPQ evaluation over one graph. All entry points
-/// take an optional EvalProfile that accumulates BFS pop counts and
-/// peak frontier size; a null profile costs one pointer test per BFS.
+/// \brief Low-level RPQ evaluation over one graph. Both entry points
+/// take an optional EvalProfile that accumulates the search's
+/// (source, product state) visits and its largest worklist level; a
+/// null profile costs one pointer test per chunk.
 class RpqEvaluator {
  public:
   /// \brief `graph` must outlive the evaluator; `opts.executor`, when
@@ -46,25 +49,19 @@ class RpqEvaluator {
       : graph_(graph), opts_(opts) {}
 
   /// \brief Count distinct (source, target) pairs accepted by `nfa`.
-  /// The per-source target sets are charged while live and released
-  /// before returning (only the count leaves the function).
+  /// Each source's target set is charged, in source order, once its
+  /// batch's search is done, and everything is released before
+  /// returning (only the count leaves the function).
   Result<uint64_t> CountPairs(const Nfa& nfa, BudgetTracker* budget,
                               EvalProfile* profile = nullptr) const;
 
   /// \brief Materialize all accepted pairs (set semantics), charged
-  /// against `budget` for the lifetime of the returned vector.
+  /// against `budget` for the lifetime of the returned vector. Pairs
+  /// come out in source order and, within a source, in ascending
+  /// target id.
   Result<Charged<std::vector<std::pair<NodeId, NodeId>>>> MaterializePairs(
       const Nfa& nfa, BudgetTracker* budget,
       EvalProfile* profile = nullptr) const;
-
-  /// \brief Distinct targets reachable from one source, charged against
-  /// `budget` for the lifetime of the returned vector. `scratch`, when
-  /// given, supplies the visited/accepted sets — per-seed callers
-  /// (Kleene fixpoints) reuse one across seeds to avoid the O(n*k)
-  /// allocation per call; null allocates locally.
-  Result<Charged<std::vector<NodeId>>> TargetsFrom(
-      NodeId source, const Nfa& nfa, BudgetTracker* budget,
-      EvalProfile* profile = nullptr, EvalScratch* scratch = nullptr) const;
 
   const Graph& graph() const { return *graph_; }
   const EvalOptions& options() const { return opts_; }

@@ -35,14 +35,15 @@ struct ConjunctProfile {
   uint64_t fixpoint_rounds = 0;
 };
 
-/// \brief BFS statistics accumulated privately by one worker's chunk of
-/// sources (or by the whole serial pass), merged into an EvalProfile in
-/// chunk order after the parallel section quiesces. Pops add and peaks
-/// max, so the merged totals equal the serial pass's numbers exactly —
-/// the obs identity tests pin this.
+/// \brief Search statistics accumulated privately by one worker's chunk
+/// of source batches (or by the whole serial pass), merged into an
+/// EvalProfile in chunk order after the parallel section quiesces. Pops
+/// add and peaks max, and batches do not depend on the chunking, so the
+/// merged totals equal the serial pass's numbers exactly — the obs
+/// identity tests pin this.
 struct BfsStatsShard {
-  uint64_t pops = 0;           ///< Product-graph states popped.
-  uint64_t peak_frontier = 0;  ///< Max pending-stack size in the shard.
+  uint64_t pops = 0;           ///< (source, product state) visits.
+  uint64_t peak_frontier = 0;  ///< Largest batch worklist level.
 
   void Merge(const BfsStatsShard& other) {
     pops += other.pops;
@@ -79,9 +80,18 @@ struct EvalProfile {
   bool planned = false;         ///< Plan came from the Planner (not identity).
   bool chain_backward = false;  ///< Chain fast path ran right-to-left.
 
-  // BFS evaluator statistics (S engine and the reference evaluator).
-  uint64_t bfs_pops = 0;           ///< Product-graph states popped.
-  uint64_t bfs_peak_frontier = 0;  ///< Max pending-stack size.
+  // Product-graph search statistics (S engine and the reference
+  // evaluator), identical at any thread or chunk count.
+  /// (source, product state) pairs visited: each source's reachable
+  /// product states, summed over sources. The multi-source search
+  /// counts one per newly set source bit plus one per seed, which is
+  /// the number of states a one-source-at-a-time search would pop.
+  uint64_t bfs_pops = 0;
+  /// Largest worklist level of any 64-source batch: the most product
+  /// states waiting, with at least one source bit pending, at the start
+  /// of one level of a batch's search. Batches are fixed by the input
+  /// (starting sources in id order, 64 at a time), so this is too.
+  uint64_t bfs_peak_frontier = 0;
 
   uint64_t fixpoint_rounds = 0;  ///< Total across conjuncts.
 

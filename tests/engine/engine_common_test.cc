@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 
 #include "core/use_cases.h"
 #include "engine/relation.h"
@@ -148,6 +150,55 @@ TEST(EngineCommonTest, ClosureRespectsBudget) {
   } else {
     EXPECT_TRUE(base.status().IsResourceExhausted());
   }
+}
+
+// An already-expired budget (negative timeout) must stop a closure from
+// inside its row loop, within one PeriodicTimeCheck period: a chain of
+// more than one period of base rows keeps the first round busy past it.
+NodePairs ChainPastOnePeriod() {
+  NodePairs chain;
+  for (NodeId v = 0; v <= PeriodicTimeCheck::kDefaultPeriod; ++v) {
+    chain.emplace_back(v, v + 1);
+  }
+  return chain;
+}
+
+Graph NodesOnly(int64_t n) {
+  GraphConfiguration config;
+  config.num_nodes = n;
+  EXPECT_TRUE(
+      config.schema.AddType("t", OccurrenceConstraint::Fixed(n)).ok());
+  NodeLayout layout = NodeLayout::Create(config).ValueOrDie();
+  return Graph::Build(std::move(layout), 1, {}).ValueOrDie();
+}
+
+void ExpectTimedOut(const Status& status, const BudgetTracker& budget) {
+  EXPECT_TRUE(status.IsResourceExhausted()) << status.ToString();
+  EXPECT_NE(status.message().find("timed out"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(budget.tuples_used(), 0u);
+  EXPECT_EQ(budget.over_releases(), 0u);
+}
+
+const ResourceBudget kExpired = ResourceBudget::Limited(-1.0, SIZE_MAX);
+
+TEST(EngineCommonDeadlineTest, NaiveClosureChecksTheClock) {
+  const NodePairs chain = ChainPastOnePeriod();
+  Graph g = NodesOnly(static_cast<int64_t>(chain.size()) + 1);
+  BudgetTracker budget(kExpired);
+  uint64_t rounds = 0;
+  ExpectTimedOut(ClosureNaive(g, chain, &budget, &rounds).status(), budget);
+  EXPECT_EQ(rounds, 1u);  // Stopped inside the first round.
+}
+
+TEST(EngineCommonDeadlineTest, SemiNaiveClosureChecksTheClock) {
+  const NodePairs chain = ChainPastOnePeriod();
+  Graph g = NodesOnly(static_cast<int64_t>(chain.size()) + 1);
+  BudgetTracker budget(kExpired);
+  uint64_t rounds = 0;
+  ExpectTimedOut(ClosureSemiNaive(g, chain, &budget, &rounds).status(),
+                 budget);
+  EXPECT_EQ(rounds, 1u);
 }
 
 TEST(EngineCommonTest, EmptyPathRejected) {

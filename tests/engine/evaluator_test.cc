@@ -230,6 +230,68 @@ TEST(EvaluatorTest, TimeoutEnforcedWithinOneDenseSource) {
       << (r.ok() ? "a full result" : r.status().ToString());
 }
 
+// An already-expired budget (negative timeout) must stop the search
+// from inside its first batch, one PeriodicTimeCheck period in — the
+// batch's own clock read comes only after its search. On a long a-path
+// under a*, the first batch's 64 sources keep its worklist busy for far
+// more than one period, and each worklist pop sets at most one bit per
+// source: a kill within one period has visited at most 64 * period
+// (source, product state) pairs of the ~m^2/2 a full run visits.
+class RpqDeadlineTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kPathLength =
+      2 * PeriodicTimeCheck::kDefaultPeriod;
+
+  RpqDeadlineTest() {
+    GraphConfiguration config;
+    config.num_nodes = kPathLength + 1;
+    EXPECT_TRUE(config.schema
+                    .AddType("t", OccurrenceConstraint::Fixed(kPathLength + 1))
+                    .ok());
+    std::vector<Edge> edges;
+    for (NodeId v = 0; v < static_cast<NodeId>(kPathLength); ++v) {
+      edges.push_back(Edge{v, 0, v + 1});
+    }
+    NodeLayout layout = NodeLayout::Create(config).ValueOrDie();
+    graph_ = Graph::Build(std::move(layout), 1, std::move(edges)).ValueOrDie();
+    RegularExpression star;
+    star.disjuncts = {{Symbol::Fwd(0)}};
+    star.star = true;
+    nfa_ = Nfa::FromRegex(star).ValueOrDie();
+  }
+
+  void ExpectKilledWithinOnePeriod(const Status& status,
+                                   const BudgetTracker& budget,
+                                   const EvalProfile& profile) {
+    EXPECT_TRUE(status.IsResourceExhausted()) << status.ToString();
+    EXPECT_NE(status.message().find("timed out"), std::string::npos);
+    EXPECT_EQ(budget.tuples_used(), 0u);
+    EXPECT_EQ(budget.over_releases(), 0u);
+    EXPECT_GT(profile.bfs_pops, 0u);  // The search had started.
+    EXPECT_LE(profile.bfs_pops, 64u * PeriodicTimeCheck::kDefaultPeriod);
+  }
+
+  const ResourceBudget kExpired = ResourceBudget::Limited(-1.0, SIZE_MAX);
+  Graph graph_;
+  Nfa nfa_;
+};
+
+TEST_F(RpqDeadlineTest, CountPairsChecksTheClockInsideABatch) {
+  RpqEvaluator rpq(&graph_);
+  BudgetTracker budget(kExpired);
+  EvalProfile profile;
+  const Status st = rpq.CountPairs(nfa_, &budget, &profile).status();
+  ExpectKilledWithinOnePeriod(st, budget, profile);
+}
+
+TEST_F(RpqDeadlineTest, MaterializePairsChecksTheClockInsideABatch) {
+  RpqEvaluator rpq(&graph_);
+  BudgetTracker budget(kExpired);
+  EvalProfile profile;
+  const Status st = rpq.MaterializePairs(nfa_, &budget, &profile).status();
+  ExpectKilledWithinOnePeriod(st, budget, profile);
+}
+
 TEST(EvaluatorTest, TupleChargesFollowRelationLifetimes) {
   // A 21-node fan: 20 a-pairs out of node 0, but only one distinct
   // source. While FromPairs' relation copy and the pair vector are both
@@ -259,7 +321,7 @@ TEST(EvaluatorTest, TupleChargesFollowRelationLifetimes) {
   EXPECT_EQ(tracker.over_releases(), 0u);
 }
 
-TEST(RpqEvaluatorTest, TargetsFromSingleSource) {
+TEST(RpqEvaluatorTest, MaterializePairsFromSingleSource) {
   Graph g = HandGraph();
   RpqEvaluator rpq(&g);
   RegularExpression star;
@@ -267,10 +329,19 @@ TEST(RpqEvaluatorTest, TargetsFromSingleSource) {
   star.star = true;
   Nfa nfa = Nfa::FromRegex(star).ValueOrDie();
   BudgetTracker budget(ResourceBudget::Unlimited());
-  auto targets = rpq.TargetsFrom(4, nfa, &budget).ValueOrDie();
-  // 4 reaches itself (epsilon) plus 0,1,2,3.
-  EXPECT_EQ(targets.value.size(), 5u);
-  EXPECT_EQ(targets.charge.count(), 5u);
+  auto pairs = rpq.MaterializePairs(nfa, &budget).ValueOrDie();
+  // Source 4 reaches itself (epsilon) plus 0,1,2,3, in ascending
+  // target order, and every pair is charged.
+  std::vector<std::pair<NodeId, NodeId>> from4;
+  for (const auto& p : pairs.value) {
+    if (p.first == 4) from4.push_back(p);
+  }
+  const std::vector<std::pair<NodeId, NodeId>> expected{
+      {4, 0}, {4, 1}, {4, 2}, {4, 3}, {4, 4}};
+  EXPECT_EQ(from4, expected);
+  // All sources: 4 + 3 + 2 + 1 + 5 + 1 pairs, each charged once.
+  EXPECT_EQ(pairs.value.size(), 16u);
+  EXPECT_EQ(pairs.charge.count(), 16u);
 }
 
 }  // namespace
