@@ -1,7 +1,9 @@
 // Microbenchmarks for the primitives the generator and evaluator are
 // built from: Zipf sampling (rejection-inversion), Gaussian draws,
-// slot-vector shuffles, product-graph BFS, and the relational operators
-// (hash join, projection with de-duplication, distinct-union count).
+// slot-vector shuffles, product-graph BFS, the relational operators
+// (hash join, projection with de-duplication, distinct-union count), and
+// the pair kernels of conjunct materialization (pair de-duplication,
+// set-semantics path composition).
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +11,7 @@
 #include <numeric>
 
 #include "core/use_cases.h"
+#include "engine/engine_common.h"
 #include "engine/evaluator.h"
 #include "engine/relation.h"
 #include "graph/generator.h"
@@ -134,6 +137,53 @@ void BM_CountDistinctUnion(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n);
 }
 BENCHMARK(BM_CountDistinctUnion)->Arg(10000)->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
+
+/// n random pairs over node ids in [0, n/8): DedupPairs input as a
+/// bag-semantics union produces it, unsorted with a few duplicates.
+void BM_DedupPairs(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  RandomEngine rng(3);
+  NodePairs input;
+  for (int64_t i = 0; i < n; ++i) {
+    input.emplace_back(static_cast<NodeId>(rng.UniformInt(0, n / 8 - 1)),
+                       static_cast<NodeId>(rng.UniformInt(0, n / 8 - 1)));
+  }
+  for (auto _ : state) {
+    NodePairs pairs = input;
+    DedupPairs(&pairs);
+    benchmark::DoNotOptimize(pairs.data());
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_DedupPairs)->Arg(10000)->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
+
+/// a.a with set semantics over n random a-edges on n/4 nodes: the first
+/// step has n rows, the second ~4n candidate rows, nearly all distinct.
+void BM_ComposePathPairs(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  GraphConfiguration config;
+  config.num_nodes = n / 4;
+  (void)config.schema.AddType("t", OccurrenceConstraint::Fixed(n / 4));
+  NodeLayout layout = NodeLayout::Create(config).ValueOrDie();
+  RandomEngine rng(3);
+  std::vector<Edge> edges;
+  for (int64_t i = 0; i < n; ++i) {
+    edges.push_back({static_cast<NodeId>(rng.UniformInt(0, n / 4 - 1)), 0,
+                     static_cast<NodeId>(rng.UniformInt(0, n / 4 - 1))});
+  }
+  Graph graph = Graph::Build(std::move(layout), 1, edges).ValueOrDie();
+  const PathExpr path{Symbol::Fwd(0), Symbol::Fwd(0)};
+  for (auto _ : state) {
+    BudgetTracker budget(ResourceBudget::Unlimited());
+    auto pairs = ComposePathPairs(graph, path, /*set_semantics=*/true,
+                                  &budget);
+    benchmark::DoNotOptimize(pairs.ok());
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_ComposePathPairs)->Arg(10000)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

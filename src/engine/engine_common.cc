@@ -1,7 +1,6 @@
 #include "engine/engine_common.h"
 
-#include <algorithm>
-#include <unordered_set>
+#include <span>
 
 #include "engine/relation.h"
 #include "obs/eval_profile.h"
@@ -11,29 +10,47 @@ namespace gmark {
 
 namespace {
 
-/// Pack a pair for hashing; callers check CheckPairKeysFit once per
-/// call, so both ids fit in 32 bits.
-uint64_t PackPair(NodeId a, NodeId b) { return (a << 32) | (b & 0xffffffff); }
+/// The base relation of a closure indexed by source, by counting sort:
+/// the targets of source s are targets[offsets[s] .. offsets[s + 1]),
+/// in the base's order.
+struct SourceIndex {
+  std::vector<size_t> offsets;
+  std::vector<NodeId> targets;
+
+  std::span<const NodeId> TargetsOf(NodeId source) const {
+    return {targets.data() + offsets[source],
+            targets.data() + offsets[source + 1]};
+  }
+};
+
+Result<SourceIndex> IndexBySource(const NodePairs& base, NodeId n) {
+  SourceIndex index;
+  index.offsets.assign(static_cast<size_t>(n) + 1, 0);
+  for (const auto& [s, t] : base) {
+    if (s >= n || t >= n) {
+      return Status::InvalidArgument("closure base pair outside the graph");
+    }
+    ++index.offsets[s + 1];
+  }
+  for (size_t v = 0; v < n; ++v) index.offsets[v + 1] += index.offsets[v];
+  index.targets.resize(base.size());
+  std::vector<size_t> fill(index.offsets.begin(), index.offsets.end() - 1);
+  for (const auto& [s, t] : base) index.targets[fill[s]++] = t;
+  return index;
+}
+
+/// The closures' shared start: the reflexive pairs (v, v) for every
+/// node, charged in one piece and entered in `known`.
+Status SeedReflexive(NodeId n, PairSet* known, NodePairs* result,
+                     TupleCharge* charge) {
+  for (NodeId v = 0; v < n; ++v) {
+    known->Insert(PackPair(v, v));
+    result->emplace_back(v, v);
+  }
+  return charge->Charge(result->size());
+}
 
 }  // namespace
-
-NodePairs SymbolPairs(const Graph& graph, const Symbol& symbol) {
-  // Scan the forward CSR in place — no intermediate edge vector, and
-  // inverse symbols swap roles as they materialize instead of paying a
-  // second pass.
-  NodePairs pairs;
-  pairs.reserve(graph.EdgeCount(symbol.predicate));
-  if (symbol.inverse) {
-    graph.ForEachEdge(symbol.predicate, [&pairs](NodeId s, NodeId t) {
-      pairs.emplace_back(t, s);
-    });
-  } else {
-    graph.ForEachEdge(symbol.predicate, [&pairs](NodeId s, NodeId t) {
-      pairs.emplace_back(s, t);
-    });
-  }
-  return pairs;
-}
 
 Result<ChargedPairs> ComposePathPairs(const Graph& graph,
                                       const PathExpr& path,
@@ -45,21 +62,37 @@ Result<ChargedPairs> ComposePathPairs(const Graph& graph,
   if (set_semantics) {
     GMARK_RETURN_NOT_OK(CheckPairKeysFit(graph.num_nodes()));
   }
-  NodePairs current = SymbolPairs(graph, path[0]);
+  PeriodicTimeCheck clock(budget);
+  // The first symbol's edges, scanned over the forward CSR in place.
+  const Symbol& first = path[0];
+  NodePairs current;
+  current.reserve(graph.EdgeCount(first.predicate));
+  const NodeId n = static_cast<NodeId>(graph.num_nodes());
+  for (NodeId s = 0; s < n; ++s) {
+    for (NodeId t : graph.OutNeighbors(first.predicate, s)) {
+      GMARK_RETURN_NOT_OK(clock.Check());
+      if (first.inverse) {
+        current.emplace_back(t, s);
+      } else {
+        current.emplace_back(s, t);
+      }
+    }
+  }
   TupleCharge charge(budget);
   GMARK_RETURN_NOT_OK(charge.Charge(current.size()));
+  PairSet seen;
   for (size_t i = 1; i < path.size(); ++i) {
-    GMARK_RETURN_NOT_OK(budget->CheckTime());
     const Symbol& sym = path[i];
     NodePairs next;
     TupleCharge next_charge(budget);
-    std::unordered_set<uint64_t> seen;
+    if (set_semantics) seen.Reset(current.size());
     for (const auto& [x, mid] : current) {
-      auto neighbors = sym.inverse
-                           ? graph.InNeighbors(sym.predicate, mid)
-                           : graph.OutNeighbors(sym.predicate, mid);
+      GMARK_RETURN_NOT_OK(clock.Check());
+      auto neighbors = sym.inverse ? graph.InNeighbors(sym.predicate, mid)
+                                   : graph.OutNeighbors(sym.predicate, mid);
       for (NodeId w : neighbors) {
-        if (set_semantics && !seen.insert(PackPair(x, w)).second) continue;
+        GMARK_RETURN_NOT_OK(clock.Check());
+        if (set_semantics && !seen.Insert(PackPair(x, w))) continue;
         GMARK_RETURN_NOT_OK(next_charge.Charge(1));
         next.emplace_back(x, w);
       }
@@ -82,7 +115,11 @@ Result<ChargedPairs> RegexBasePairs(const Graph& graph,
     GMARK_ASSIGN_OR_RETURN(
         ChargedPairs part,
         ComposePathPairs(graph, path, set_semantics, budget));
-    base.insert(base.end(), part.value.begin(), part.value.end());
+    if (base.empty()) {
+      base = std::move(part.value);
+    } else {
+      base.insert(base.end(), part.value.begin(), part.value.end());
+    }
     // part's guard releases its charge here; the accumulating union is
     // charged once below, after deduplication.
   }
@@ -97,20 +134,12 @@ Result<ChargedPairs> ClosureNaive(const Graph& graph, const NodePairs& base,
                                   BudgetTracker* budget, uint64_t* rounds) {
   GMARK_RETURN_NOT_OK(CheckPairKeysFit(graph.num_nodes()));
   const NodeId n = static_cast<NodeId>(graph.num_nodes());
-  std::unordered_set<uint64_t> known;
+  GMARK_ASSIGN_OR_RETURN(SourceIndex index, IndexBySource(base, n));
+  PairSet known(static_cast<size_t>(n) + base.size());
   NodePairs result;
   TupleCharge charge(budget);
   result.reserve(static_cast<size_t>(n) + base.size());
-  for (NodeId v = 0; v < n; ++v) {
-    known.insert(PackPair(v, v));
-    result.emplace_back(v, v);
-  }
-  GMARK_RETURN_NOT_OK(charge.Charge(result.size()));
-
-  // Index the base relation by source for the join.
-  std::unordered_multimap<NodeId, NodeId> base_by_src;
-  base_by_src.reserve(base.size());
-  for (const auto& [s, t] : base) base_by_src.emplace(s, t);
+  GMARK_RETURN_NOT_OK(SeedReflexive(n, &known, &result, &charge));
 
   // One clock read per ~4096 scanned rows, counted across rounds: a
   // round rescans the whole relation, so a per-round check alone would
@@ -125,11 +154,10 @@ Result<ChargedPairs> ClosureNaive(const Graph& graph, const NodePairs& base,
     NodePairs additions;
     for (const auto& [x, mid] : result) {
       GMARK_RETURN_NOT_OK(time_check.Check());
-      auto range = base_by_src.equal_range(mid);
-      for (auto it = range.first; it != range.second; ++it) {
-        if (known.insert(PackPair(x, it->second)).second) {
+      for (NodeId t : index.TargetsOf(mid)) {
+        if (known.Insert(PackPair(x, t))) {
           GMARK_RETURN_NOT_OK(charge.Charge(1));
-          additions.emplace_back(x, it->second);
+          additions.emplace_back(x, t);
         }
       }
     }
@@ -147,24 +175,17 @@ Result<ChargedPairs> ClosureSemiNaive(const Graph& graph,
                                       uint64_t* rounds) {
   GMARK_RETURN_NOT_OK(CheckPairKeysFit(graph.num_nodes()));
   const NodeId n = static_cast<NodeId>(graph.num_nodes());
-  std::unordered_set<uint64_t> known;
+  GMARK_ASSIGN_OR_RETURN(SourceIndex index, IndexBySource(base, n));
+  PairSet known(static_cast<size_t>(n) + base.size());
   NodePairs result;
   TupleCharge charge(budget);
   result.reserve(static_cast<size_t>(n) + base.size());
-  for (NodeId v = 0; v < n; ++v) {
-    known.insert(PackPair(v, v));
-    result.emplace_back(v, v);
-  }
-  GMARK_RETURN_NOT_OK(charge.Charge(result.size()));
-
-  std::unordered_multimap<NodeId, NodeId> base_by_src;
-  base_by_src.reserve(base.size());
-  for (const auto& [s, t] : base) base_by_src.emplace(s, t);
+  GMARK_RETURN_NOT_OK(SeedReflexive(n, &known, &result, &charge));
 
   // Seed the delta with the base (paths of length exactly 1).
   NodePairs delta;
   for (const auto& [s, t] : base) {
-    if (known.insert(PackPair(s, t)).second) {
+    if (known.Insert(PackPair(s, t))) {
       GMARK_RETURN_NOT_OK(charge.Charge(1));
       delta.emplace_back(s, t);
       result.emplace_back(s, t);
@@ -178,12 +199,11 @@ Result<ChargedPairs> ClosureSemiNaive(const Graph& graph,
     budget->ChargeScan(delta.size());
     for (const auto& [x, mid] : delta) {
       GMARK_RETURN_NOT_OK(time_check.Check());
-      auto range = base_by_src.equal_range(mid);
-      for (auto it = range.first; it != range.second; ++it) {
-        if (known.insert(PackPair(x, it->second)).second) {
+      for (NodeId t : index.TargetsOf(mid)) {
+        if (known.Insert(PackPair(x, t))) {
           GMARK_RETURN_NOT_OK(charge.Charge(1));
-          next_delta.emplace_back(x, it->second);
-          result.emplace_back(x, it->second);
+          next_delta.emplace_back(x, t);
+          result.emplace_back(x, t);
         }
       }
     }
@@ -226,7 +246,7 @@ QueryPlan PlanOrIdentity(const EvalOptions& opts, const Graph& graph,
 }
 
 Status CheckPairKeysFit(int64_t num_nodes) {
-  if (num_nodes > (int64_t{1} << 32)) {
+  if (num_nodes >= (int64_t{1} << 32)) {
     return Status::InvalidArgument(
         "node ids exceed the 32 bits of a packed pair key");
   }

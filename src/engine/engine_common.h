@@ -6,6 +6,10 @@
 #ifndef GMARK_ENGINE_ENGINE_COMMON_H_
 #define GMARK_ENGINE_ENGINE_COMMON_H_
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "engine/budget.h"
@@ -26,21 +30,89 @@ using NodePairs = std::vector<std::pair<NodeId, NodeId>>;
 /// BudgetTracker for exactly the vector's lifetime.
 using ChargedPairs = Charged<NodePairs>;
 
-/// \brief All edges matching one symbol, as (source, target) pairs
-/// (inverse symbols swap the roles).
-NodePairs SymbolPairs(const Graph& graph, const Symbol& symbol);
+/// \brief The packed key of a pair: source in the high 32 bits, target
+/// in the low. Callers check CheckPairKeysFit once per call, so both
+/// ids fit and no admissible pair packs to PairSet::kEmpty.
+inline uint64_t PackPair(NodeId source, NodeId target) {
+  return (source << 32) | (target & 0xffffffff);
+}
+
+/// \brief A set of packed pair keys in one flat array: open addressing
+/// with linear probing, Fibonacci hashing, doubled at half load. The
+/// pair kernels use it only for membership; nothing iterates it.
+class PairSet {
+ public:
+  /// The empty-slot marker: the key of (2^32 - 1, 2^32 - 1), which
+  /// CheckPairKeysFit keeps out of every admissible relation.
+  static constexpr uint64_t kEmpty = ~uint64_t{0};
+
+  /// \brief Sized so that `expected` keys fit without growing.
+  explicit PairSet(size_t expected = 0) { Reset(expected); }
+
+  /// \brief Empty the set, sized for `expected` keys.
+  void Reset(size_t expected) {
+    const size_t capacity = std::bit_ceil(std::max<size_t>(16, 2 * expected));
+    slots_.assign(capacity, kEmpty);
+    shift_ = 64 - std::countr_zero(capacity);
+    size_ = 0;
+  }
+
+  /// \brief Add `key`; returns whether it was absent.
+  bool Insert(uint64_t key) {
+    const size_t mask = slots_.size() - 1;
+    for (size_t s = Slot(key);; s = (s + 1) & mask) {
+      if (slots_[s] == key) return false;
+      if (slots_[s] == kEmpty) {
+        slots_[s] = key;
+        if (2 * ++size_ > slots_.size()) Grow();
+        return true;
+      }
+    }
+  }
+
+  size_t size() const { return size_; }
+
+ private:
+  size_t Slot(uint64_t key) const {
+    return static_cast<size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+
+  void Grow() {
+    const std::vector<uint64_t> old = std::exchange(
+        slots_, std::vector<uint64_t>(2 * slots_.size(), kEmpty));
+    --shift_;
+    const size_t mask = slots_.size() - 1;
+    for (uint64_t key : old) {
+      if (key == kEmpty) continue;
+      size_t s = Slot(key);
+      while (slots_[s] != kEmpty) s = (s + 1) & mask;
+      slots_[s] = key;
+    }
+  }
+
+  std::vector<uint64_t> slots_;
+  int shift_ = 0;
+  size_t size_ = 0;
+};
 
 /// \brief Relational evaluation of one concatenation path: start from
-/// the first symbol's edge relation and compose stepwise through the
-/// adjacency index. With `set_semantics` each step deduplicates (a
-/// Datalog relation); without, bag semantics mirror a SQL join pipeline.
+/// the first symbol's edge relation, in forward-CSR order (inverse
+/// symbols swap the roles), and compose stepwise through the adjacency
+/// index. With `set_semantics` each step deduplicates through a
+/// PairSet (a Datalog relation); without, bag semantics mirror a SQL
+/// join pipeline. The first relation is charged in one piece, every
+/// later row with its own Charge(1). One PeriodicTimeCheck ticks per
+/// edge scanned, row extended and neighbour visited, so neither a
+/// one-symbol path nor one long step overshoots a deadline by more than
+/// one period.
 Result<ChargedPairs> ComposePathPairs(const Graph& graph,
                                       const PathExpr& path,
                                       bool set_semantics,
                                       BudgetTracker* budget);
 
 /// \brief Union of the disjunct relations of a regular expression
-/// (without applying the star), deduplicated.
+/// (without applying the star), deduplicated by DedupPairs and so
+/// sorted by (source, target).
 Result<ChargedPairs> RegexBasePairs(const Graph& graph,
                                     const RegularExpression& expr,
                                     bool set_semantics,
@@ -51,6 +123,13 @@ Result<ChargedPairs> RegexBasePairs(const Graph& graph,
 /// profile of a recursive view evaluated without delta optimization).
 /// `rounds`, when given, receives the number of fixpoint rounds run —
 /// the cost-asymmetry observable the evaluation profiles report.
+///
+/// Both closures join through a counting-sort index of the base by
+/// source (within a source, targets keep the base's order) and keep
+/// the pairs found so far in a PairSet. Pairs come out reflexive pairs
+/// first, then in discovery order, a function of the base's order
+/// alone. The base must be over the graph's nodes (InvalidArgument
+/// otherwise).
 Result<ChargedPairs> ClosureNaive(const Graph& graph, const NodePairs& base,
                                   BudgetTracker* budget,
                                   uint64_t* rounds = nullptr);
@@ -91,8 +170,9 @@ QueryPlan PlanOrIdentity(const EvalOptions& opts, const Graph& graph,
 
 /// \brief Precondition of the packed (source, target) keys that path
 /// composition and the closures deduplicate with: node ids must fit in
-/// 32 bits, i.e. `num_nodes` <= 2^32. InvalidArgument otherwise. One
-/// check per call, none per pair.
+/// 32 bits and stay below 2^32 - 1, so that no pair packs to
+/// PairSet::kEmpty, i.e. `num_nodes` < 2^32. InvalidArgument otherwise.
+/// One check per call, none per pair.
 Status CheckPairKeysFit(int64_t num_nodes);
 
 /// \brief Precondition of the openCypher engine's edge keys,

@@ -82,6 +82,9 @@ class MaterializingEngine : public QueryEngine {
                   VarRelation::FromPairs(c.source, c.target, pairs.value),
                   &budget));
         }
+        // The conjunct's time ends here: the join below is rule time.
+        const double conjunct_seconds =
+            profile != nullptr ? conjunct_timer.ElapsedSeconds() : 0.0;
         const size_t conjunct_rows = rel.value.row_count();
         if (first) {
           acc = std::move(rel);
@@ -97,7 +100,7 @@ class MaterializingEngine : public QueryEngine {
         if (profile != nullptr) {
           ConjunctProfile& cp = profile->Conjunct(conjunct_index);
           cp.rows += conjunct_rows;
-          cp.seconds += conjunct_timer.ElapsedSeconds();
+          cp.seconds += conjunct_seconds;
           profile->RecordPlanStepRows(step_offset + pos, conjunct_rows);
         }
         GMARK_RETURN_NOT_OK(budget.CheckTime());

@@ -442,6 +442,9 @@ Result<ChargedRelation> ReferenceEvaluator::EvaluateRuleJoin(
                    VarRelation::FromPairs(c.source, c.target, pairs.value),
                    budget));
     }
+    // The conjunct's time ends here: the join below is rule time.
+    const double conjunct_seconds =
+        profile != nullptr ? conjunct_timer.ElapsedSeconds() : 0.0;
     const size_t conjunct_rows = rel.value.row_count();
     if (first) {
       acc = std::move(rel);
@@ -457,7 +460,7 @@ Result<ChargedRelation> ReferenceEvaluator::EvaluateRuleJoin(
     if (profile != nullptr) {
       ConjunctProfile& cp = profile->Conjunct(ci);
       cp.rows += conjunct_rows;
-      cp.seconds += conjunct_timer.ElapsedSeconds();
+      cp.seconds += conjunct_seconds;
       profile->RecordPlanStepRows(step_offset + pos, conjunct_rows);
     }
   }

@@ -252,8 +252,65 @@ Result<uint64_t> CountDistinctUnion(const std::vector<VarRelation>& rels,
 }
 
 void DedupPairs(std::vector<std::pair<NodeId, NodeId>>* pairs) {
-  std::sort(pairs->begin(), pairs->end());
-  pairs->erase(std::unique(pairs->begin(), pairs->end()), pairs->end());
+  using Pair = std::pair<NodeId, NodeId>;
+  std::vector<Pair>& v = *pairs;
+  // One scan: the significant bits of both fields, and sortedness.
+  NodeId source_bits = 0, target_bits = 0;
+  bool sorted = true;
+  for (size_t i = 0; i < v.size(); ++i) {
+    source_bits |= v[i].first;
+    target_bits |= v[i].second;
+    if (i > 0 && v[i] < v[i - 1]) sorted = false;
+  }
+  if (!sorted) {
+    // LSD radix passes, least significant first: the target's digits,
+    // then the source's. Each field is split into the fewest digits of
+    // at most kMaxDigitBits, as even as possible, so ids below 2^11
+    // take one pass per field and 64-bit ids six.
+    constexpr int kMaxDigitBits = 11;
+    struct Pass {
+      bool source;
+      int shift;
+      NodeId mask;
+    };
+    std::vector<Pass> passes;
+    size_t stride = 1;  // Buckets of the widest digit.
+    for (bool source : {false, true}) {
+      const int bits = std::bit_width(source ? source_bits : target_bits);
+      const int count = (bits + kMaxDigitBits - 1) / kMaxDigitBits;
+      const int width = count == 0 ? 0 : (bits + count - 1) / count;
+      for (int d = 0; d < count; ++d) {
+        passes.push_back({source, d * width, (NodeId{1} << width) - 1});
+      }
+      stride = std::max(stride, size_t{1} << width);
+    }
+    auto digit = [](const Pair& p, const Pass& pass) {
+      return ((pass.source ? p.first : p.second) >> pass.shift) & pass.mask;
+    };
+    // Every pass's histogram in one scan.
+    std::vector<size_t> counts(passes.size() * stride, 0);
+    for (const Pair& p : v) {
+      for (size_t k = 0; k < passes.size(); ++k) {
+        ++counts[k * stride + digit(p, passes[k])];
+      }
+    }
+    std::vector<Pair> scratch(v.size());
+    for (size_t k = 0; k < passes.size(); ++k) {
+      const Pass pass = passes[k];
+      size_t* offsets = counts.data() + k * stride;
+      // A digit every pair shares leaves the order as it is.
+      if (offsets[digit(v[0], pass)] == v.size()) continue;
+      size_t sum = 0;
+      for (size_t b = 0; b <= pass.mask; ++b) {
+        const size_t c = offsets[b];
+        offsets[b] = sum;
+        sum += c;
+      }
+      for (const Pair& p : v) scratch[offsets[digit(p, pass)]++] = p;
+      v.swap(scratch);
+    }
+  }
+  v.erase(std::unique(v.begin(), v.end()), v.end());
 }
 
 }  // namespace gmark

@@ -107,7 +107,12 @@ Result<ChargedRelation> ProjectDistinct(const VarRelation& rel,
 Result<uint64_t> CountDistinctUnion(const std::vector<VarRelation>& rels,
                                     BudgetTracker* budget);
 
-/// \brief Set-semantics pair deduplication in place.
+/// \brief Set-semantics pair deduplication in place: leaves the
+/// distinct pairs sorted by (source, target), as std::sort plus
+/// std::unique would. One scan finds the significant bits of both
+/// fields and whether the input is already sorted; if not, LSD radix
+/// passes over just those bits (digits of at most 11 bits, the
+/// target's first) sort it. Any NodeId value is allowed.
 void DedupPairs(std::vector<std::pair<NodeId, NodeId>>* pairs);
 
 }  // namespace gmark

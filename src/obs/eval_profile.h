@@ -29,7 +29,11 @@ struct ConjunctProfile {
   uint64_t rows = 0;
   /// Wall seconds spent producing the conjunct. Inclusive of deeper
   /// conjuncts for the DFS engine (its recursion interleaves them);
-  /// exclusive for the materializing engines.
+  /// exclusive for the materializing engines and the reference
+  /// evaluator's join path: there it covers building the conjunct's
+  /// pair relation (path composition, DedupPairs, closure, or the
+  /// product-graph search) and charging its copy, and stops before the
+  /// HashJoin with the rule's earlier conjuncts, which is rule time.
   double seconds = 0.0;
   /// Fixpoint rounds this conjunct's Kleene closure ran (0 if no star).
   uint64_t fixpoint_rounds = 0;

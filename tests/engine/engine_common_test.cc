@@ -25,16 +25,19 @@ Graph PathGraph() {
   return Graph::Build(layout, 2, edges).ValueOrDie();
 }
 
-TEST(EngineCommonTest, SymbolPairsForwardAndInverse) {
+/// The edge relation of one symbol: a one-symbol path.
+NodePairs EdgePairs(const Graph& g, Symbol symbol) {
+  BudgetTracker budget(ResourceBudget::Unlimited());
+  return ComposePathPairs(g, {symbol}, false, &budget).ValueOrDie().value;
+}
+
+TEST(EngineCommonTest, OneSymbolPathForwardAndInverse) {
   Graph g = PathGraph();
-  NodePairs fwd = SymbolPairs(g, Symbol::Fwd(0));
-  EXPECT_EQ(fwd.size(), 3u);
-  NodePairs inv = SymbolPairs(g, Symbol::Inv(0));
-  ASSERT_EQ(inv.size(), 3u);
-  // Inverse swaps: (1,0) must be present.
-  EXPECT_NE(std::find(inv.begin(), inv.end(),
-                      std::pair<NodeId, NodeId>{1, 0}),
-            inv.end());
+  NodePairs fwd = EdgePairs(g, Symbol::Fwd(0));
+  EXPECT_EQ(fwd, (NodePairs{{0, 1}, {1, 2}, {2, 3}}));
+  // Inverse swaps each pair, in the same forward-CSR order.
+  NodePairs inv = EdgePairs(g, Symbol::Inv(0));
+  EXPECT_EQ(inv, (NodePairs{{1, 0}, {2, 1}, {3, 2}}));
 }
 
 TEST(EngineCommonTest, ComposePathPairs) {
@@ -88,11 +91,26 @@ TEST(EngineCommonTest, RegexBasePairsUnionsDisjunctsAsSet) {
 TEST(EngineCommonTest, ClosureOfPathGraphIsFullUpperTriangle) {
   Graph g = PathGraph();
   BudgetTracker budget(ResourceBudget::Unlimited());
-  NodePairs base = SymbolPairs(g, Symbol::Fwd(0));  // 0->1->2->3 chain.
+  NodePairs base = EdgePairs(g, Symbol::Fwd(0));  // 0->1->2->3 chain.
   auto closure = ClosureSemiNaive(g, base, &budget);
   ASSERT_TRUE(closure.ok());
   // Reflexive (4) + all i<j pairs on the chain (6).
   EXPECT_EQ(closure->value.size(), 10u);
+}
+
+TEST(EngineCommonTest, ClosureOrderFollowsTheBase) {
+  // Reflexive pairs first, then discovery order: a source's targets in
+  // the base's order, not by id.
+  Graph g = PathGraph();
+  const NodePairs base{{0, 2}, {1, 3}, {0, 1}};
+  BudgetTracker budget(ResourceBudget::Unlimited());
+  const NodePairs reflexive{{0, 0}, {1, 1}, {2, 2}, {3, 3}};
+  NodePairs naive = reflexive;
+  naive.insert(naive.end(), {{0, 2}, {0, 1}, {1, 3}, {0, 3}});
+  EXPECT_EQ(ClosureNaive(g, base, &budget)->value, naive);
+  NodePairs semi = reflexive;
+  semi.insert(semi.end(), {{0, 2}, {1, 3}, {0, 1}, {0, 3}});
+  EXPECT_EQ(ClosureSemiNaive(g, base, &budget)->value, semi);
 }
 
 TEST(EngineCommonTest, NaiveAndSemiNaiveClosuresAgree) {
@@ -123,7 +141,7 @@ TEST(EngineCommonTest, SemiNaiveChargesFewerTuplesThanNaive) {
   GraphConfiguration config = MakeLsnConfig(800, 5);
   Graph g = GenerateGraph(config).ValueOrDie();
   PredicateId knows = config.schema.PredicateIdOf("knows").ValueOrDie();
-  NodePairs base = SymbolPairs(g, Symbol::Fwd(knows));
+  NodePairs base = EdgePairs(g, Symbol::Fwd(knows));
   DedupPairs(&base);
   BudgetTracker naive_budget(ResourceBudget::Unlimited());
   BudgetTracker semi_budget(ResourceBudget::Unlimited());
@@ -201,16 +219,74 @@ TEST(EngineCommonDeadlineTest, SemiNaiveClosureChecksTheClock) {
   EXPECT_EQ(rounds, 1u);
 }
 
+// Path composition ticks its clock per edge scanned, row extended and
+// neighbour visited, so neither a one-symbol path nor one long step
+// runs to completion on an expired budget.
+TEST(EngineCommonDeadlineTest, OneSymbolPathChecksTheClock) {
+  const NodePairs chain = ChainPastOnePeriod();
+  GraphConfiguration config;
+  config.num_nodes = static_cast<int64_t>(chain.size()) + 1;
+  ASSERT_TRUE(config.schema
+                  .AddType("t", OccurrenceConstraint::Fixed(config.num_nodes))
+                  .ok());
+  std::vector<Edge> edges;
+  for (const auto& [s, t] : chain) edges.push_back({s, 0, t});
+  Graph g = Graph::Build(NodeLayout::Create(config).ValueOrDie(), 1, edges)
+                .ValueOrDie();
+  for (bool set_semantics : {false, true}) {
+    BudgetTracker budget(kExpired);
+    ExpectTimedOut(
+        ComposePathPairs(g, {Symbol::Inv(0)}, set_semantics, &budget)
+            .status(),
+        budget);
+  }
+}
+
+TEST(EngineCommonDeadlineTest, LongStepChecksTheClock) {
+  // a: 0 -> 1, one row; b: 1 -> every other node, one period and more.
+  const NodeId n = PeriodicTimeCheck::kDefaultPeriod + 3;
+  GraphConfiguration config;
+  config.num_nodes = static_cast<int64_t>(n);
+  ASSERT_TRUE(config.schema
+                  .AddType("t", OccurrenceConstraint::Fixed(config.num_nodes))
+                  .ok());
+  std::vector<Edge> edges{{0, 0, 1}};
+  for (NodeId v = 2; v < n; ++v) edges.push_back({1, 1, v});
+  Graph g = Graph::Build(NodeLayout::Create(config).ValueOrDie(), 2, edges)
+                .ValueOrDie();
+  for (bool set_semantics : {false, true}) {
+    BudgetTracker budget(kExpired);
+    ExpectTimedOut(ComposePathPairs(g, {Symbol::Fwd(0), Symbol::Fwd(1)},
+                                    set_semantics, &budget)
+                       .status(),
+                   budget);
+  }
+}
+
 TEST(EngineCommonTest, EmptyPathRejected) {
   Graph g = PathGraph();
   BudgetTracker budget(ResourceBudget::Unlimited());
   EXPECT_FALSE(ComposePathPairs(g, {}, true, &budget).ok());
 }
 
-TEST(EngineCommonTest, PairKeysFitUpToTwoToThe32Nodes) {
+TEST(EngineCommonTest, PairKeysFitBelowTwoToThe32Nodes) {
+  const int64_t two32 = int64_t{1} << 32;
   EXPECT_TRUE(CheckPairKeysFit(0).ok());
-  EXPECT_TRUE(CheckPairKeysFit(int64_t{1} << 32).ok());
-  EXPECT_TRUE(CheckPairKeysFit((int64_t{1} << 32) + 1).IsInvalidArgument());
+  EXPECT_TRUE(CheckPairKeysFit(two32 - 1).ok());
+  EXPECT_TRUE(CheckPairKeysFit(two32).IsInvalidArgument());
+  EXPECT_TRUE(CheckPairKeysFit(two32 + 1).IsInvalidArgument());
+  // The largest admissible id is 2^32 - 2: its pairs never pack to the
+  // empty-slot marker, which is the key of (2^32 - 1, 2^32 - 1).
+  const NodeId last = static_cast<NodeId>(two32 - 2);
+  EXPECT_EQ(PairSet::kEmpty, PackPair(last + 1, last + 1));
+  PairSet set;
+  for (uint64_t key : {PackPair(last, last), PackPair(last, last + 1),
+                       PackPair(last + 1, last), PackPair(0, 0)}) {
+    EXPECT_NE(key, PairSet::kEmpty);
+    EXPECT_TRUE(set.Insert(key));
+    EXPECT_FALSE(set.Insert(key));
+  }
+  EXPECT_EQ(set.size(), 4u);
 }
 
 TEST(EngineCommonTest, EdgeKeysFitExactlyWhenTheLastKeyDoesNotWrap) {
