@@ -112,7 +112,7 @@ class MaterializingEngine : public QueryEngine {
       conjunct_offset += rule.body.size();
       step_offset += rplan.steps.size();
     }
-    return CountDistinctUnion(per_rule, &budget);
+    return CountRuleUnion(per_rule, &budget);
   }
 
  protected:

@@ -541,7 +541,7 @@ Result<uint64_t> ReferenceEvaluator::CountDistinct(
     conjunct_offset += query.rules[ri].body.size();
     step_offset += plan.rules[ri].steps.size();
   }
-  return CountDistinctUnion(per_rule, &budget);
+  return CountRuleUnion(per_rule, &budget);
 }
 
 }  // namespace gmark

@@ -107,12 +107,22 @@ Result<ChargedRelation> ProjectDistinct(const VarRelation& rel,
 Result<uint64_t> CountDistinctUnion(const std::vector<VarRelation>& rels,
                                     BudgetTracker* budget);
 
+/// \brief CountDistinctUnion over per-rule results that are each
+/// already duplicate-free, as ProjectDistinct returns them. One rule is
+/// its own distinct union: its rows are counted and one Charge(1) per
+/// row, under the same per-row clock check, replays exactly the charges
+/// CountDistinctUnion would make, without building a second distinct
+/// set. Several rules go through CountDistinctUnion.
+Result<uint64_t> CountRuleUnion(const std::vector<VarRelation>& rules,
+                                BudgetTracker* budget);
+
 /// \brief Set-semantics pair deduplication in place: leaves the
 /// distinct pairs sorted by (source, target), as std::sort plus
 /// std::unique would. One scan finds the significant bits of both
 /// fields and whether the input is already sorted; if not, LSD radix
 /// passes over just those bits (digits of at most 11 bits, the
-/// target's first) sort it. Any NodeId value is allowed.
+/// target's first, as many per field as minimise the scatter and
+/// bucket-scan work) sort it. Any NodeId value is allowed.
 void DedupPairs(std::vector<std::pair<NodeId, NodeId>>* pairs);
 
 }  // namespace gmark

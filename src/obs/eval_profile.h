@@ -18,8 +18,6 @@
 namespace gmark {
 
 class BudgetTracker;
-class MetricRegistry;
-class Tracer;
 struct ResourceBudget;
 
 /// \brief Observed cost of one body conjunct.
@@ -136,11 +134,10 @@ struct EvalProfile {
 };
 
 /// \brief Optional observability context threaded through evaluation.
-/// All pointers may be null; engines must work identically without one.
+/// The pointer may be null; engines must work identically without one.
+/// Metrics and trace spans go through GlobalMetrics()/GlobalTracer().
 struct EvalContext {
   EvalProfile* profile = nullptr;
-  MetricRegistry* metrics = nullptr;
-  Tracer* tracer = nullptr;
 };
 
 /// \brief RAII: snapshots a BudgetTracker into a profile on scope exit,

@@ -13,9 +13,9 @@ namespace {
 std::string DatalogVar(const QueryRule& rule, size_t rule_index, VarId v) {
   // Datalog variables must start with an uppercase letter.
   for (size_t i = 0; i < rule.head.size(); ++i) {
-    if (rule.head[i] == v) return "H" + std::to_string(i);
+    if (rule.head[i] == v) return IndexedName("H", i);
   }
-  return "R" + std::to_string(rule_index) + "X" + std::to_string(v);
+  return IndexedName("R", rule_index).append(IndexedName("X", v));
 }
 
 /// Body atoms for one disjunct path from X to Y.
@@ -64,7 +64,7 @@ Result<std::string> DatalogTranslator::Translate(
         GMARK_ASSIGN_OR_RETURN(
             std::string body,
             PathBody(c.expr.disjuncts[d], schema, "X", "Y",
-                     "T" + std::to_string(d) + "_"));
+                     IndexedName("T", d).append("_")));
         program << base << "(X, Y) :- " << body << ".\n";
       }
       if (c.expr.star) {

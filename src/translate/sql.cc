@@ -22,7 +22,7 @@ Result<std::string> PathSelect(const PathExpr& path,
   std::ostringstream from, where;
   std::string first_col, last_col;
   for (size_t i = 0; i < path.size(); ++i) {
-    std::string alias = "e" + std::to_string(i);
+    std::string alias = IndexedName("e", i);
     if (i > 0) from << ", ";
     from << "edge " << alias;
     std::string start = path[i].inverse ? alias + ".trg" : alias + ".src";
@@ -90,7 +90,7 @@ Result<std::string> SqlTranslator::Translate(
     bool first_cond = true;
     for (size_t ci = 0; ci < rule.body.size(); ++ci) {
       const Conjunct& c = rule.body[ci];
-      std::string alias = "j" + std::to_string(ci);
+      std::string alias = IndexedName("j", ci);
       if (ci > 0) from << ", ";
       from << cte_name(r, ci, c.expr.star ? "path" : "base") << " " << alias;
       for (auto [var, col] : {std::pair<VarId, std::string>{

@@ -22,9 +22,9 @@ std::vector<QueryLanguage> AllQueryLanguages() {
 std::string TranslateVarName(const QueryRule& rule, size_t rule_index,
                              VarId v) {
   for (size_t i = 0; i < rule.head.size(); ++i) {
-    if (rule.head[i] == v) return "h" + std::to_string(i);
+    if (rule.head[i] == v) return IndexedName("h", i);
   }
-  return "r" + std::to_string(rule_index) + "x" + std::to_string(v);
+  return IndexedName("r", rule_index).append(IndexedName("x", v));
 }
 
 std::unique_ptr<QueryTranslator> MakeTranslator(QueryLanguage lang) {

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "translate/translator.h"
+#include "util/string_util.h"  // IndexedName
 
 namespace gmark {
 

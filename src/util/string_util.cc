@@ -70,6 +70,14 @@ Result<double> ParseDouble(std::string_view s) {
   return v;
 }
 
+std::string IndexedName(std::string_view prefix, int64_t index) {
+  const std::string digits = std::to_string(index);
+  std::string name;
+  name.reserve(prefix.size() + digits.size());
+  name.append(prefix).append(digits);
+  return name;
+}
+
 std::string FormatDouble(double v, int precision) {
   std::ostringstream os;
   os.precision(precision);

@@ -30,6 +30,11 @@ Result<int64_t> ParseInt(std::string_view s);
 /// \brief Parse a floating-point number; rejects trailing garbage.
 Result<double> ParseDouble(std::string_view s);
 
+/// \brief `prefix` followed by the decimal `index`, e.g. "q7". Built
+/// with reserve + append: GCC 12 at -O3 rejects the inlined
+/// `"q" + std::to_string(i)` with a false-positive -Wrestrict.
+std::string IndexedName(std::string_view prefix, int64_t index);
+
 /// \brief Render a double with up to `precision` significant digits,
 /// trimming trailing zeros ("1.5", "2", "0.001").
 std::string FormatDouble(double v, int precision = 6);

@@ -9,6 +9,7 @@
 #include "parallel/executor.h"
 #include "selectivity/selectivity_graph.h"
 #include "util/random.h"
+#include "util/string_util.h"
 
 namespace gmark {
 
@@ -64,11 +65,12 @@ Result<Workload> ParallelGenerateWorkload(
         if (one.ok()) {
           slots[i].query = std::move(one).ValueOrDie();
         } else {
-          slots[i].skip =
-              "q" + std::to_string(i) + " " +
-              std::string(QueryShapeName(shape)) + "/" +
-              (target.has_value() ? QuerySelectivityName(*target) : "any") +
-              ": " + one.status().message();
+          std::string& skip = slots[i].skip;
+          skip = IndexedName("q", i);
+          skip.append(" ").append(QueryShapeName(shape)).append("/");
+          skip.append(target.has_value() ? QuerySelectivityName(*target)
+                                         : "any");
+          skip.append(": ").append(one.status().message());
         }
       }
     });
@@ -84,7 +86,7 @@ Result<Workload> ParallelGenerateWorkload(
   for (size_t i = 0; i < num_queries; ++i) {
     if (slots[i].query.has_value()) {
       GeneratedQuery gq = std::move(*slots[i].query);
-      gq.query.name = "q" + std::to_string(i);
+      gq.query.name = IndexedName("q", i);
       workload.queries.push_back(std::move(gq));
     } else {
       workload.skipped.push_back(std::move(slots[i].skip));

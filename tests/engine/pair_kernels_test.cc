@@ -112,6 +112,30 @@ TEST(DedupPairsTest, MatchesSortUniqueOnRandomInputs) {
   EXPECT_TRUE(duplicated);
 }
 
+TEST(DedupPairsTest, SmallInputsWithWideIds) {
+  // A few pairs over wide ids take more, narrower digits than a large
+  // input would (fewer buckets to zero and scan per pass); the result
+  // must not depend on that split.
+  int c = 0;
+  for (int bits : {2, 5, 10, 11, 12, 17, 22, 33, 45, 64}) {
+    for (int64_t rows : {2, 3, 7, 16, 40, 100}) {
+      const uint64_t seed = DeriveSeed(kRoot, 5, c++);
+      SCOPED_TRACE("seed " + std::to_string(seed));
+      RandomEngine rng(seed);
+      NodePairs input;
+      for (int64_t i = 0; i < rows; ++i) {
+        // Both fields reach `bits` bits; one row in five repeats.
+        if (!input.empty() && rng.UniformInt(0, 4) == 0) {
+          input.push_back(input.front());
+        } else {
+          input.emplace_back(RandomId(&rng, bits), RandomId(&rng, bits));
+        }
+      }
+      ExpectDedupMatchesOracle(input);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // PairSet
 

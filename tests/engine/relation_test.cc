@@ -371,6 +371,81 @@ TEST(RelationDifferentialTest, CountDistinctUnionMatchesOracle) {
   }
 }
 
+// CountRuleUnion against CountDistinctUnion, in the engines' calling
+// shape: each rule's result comes from ProjectDistinct and stays
+// charged while the union is counted. Both run unlimited and under
+// every tuple ceiling below the unlimited peak. Nothing is released
+// while a union counts, so each of its charges sets a new high-water
+// mark and a ceiling fails exactly the charge that crosses it: equal
+// statuses and peaks at every ceiling pin the whole Charge sequence.
+TEST(RelationDifferentialTest, CountRuleUnionMatchesCountDistinctUnion) {
+  int one_rule = 0, nullary = 0, with_duplicates = 0;
+  for (int c = 0; c < kDifferentialCases; ++c) {
+    const uint64_t seed = DeriveSeed(kDifferentialRoot, 4, c);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RandomEngine rng(seed);
+    const std::vector<VarId> vars = RandomVars(&rng, 3);
+    std::vector<VarRelation> bodies;
+    for (int64_t i = rng.UniformInt(1, 3); i > 0; --i) {
+      VarRelation body(vars);
+      const int64_t domain = rng.UniformInt(1, 60);
+      std::vector<NodeId> row(vars.size());
+      for (int64_t r = rng.UniformInt(0, 100); r > 0; --r) {
+        for (NodeId& v : row) {
+          v = static_cast<NodeId>(rng.UniformInt(0, domain));
+        }
+        body.AppendRow(row);
+      }
+      bodies.push_back(std::move(body));
+    }
+    // One head for every rule, as a union's rules share their arity.
+    std::vector<VarId> head = vars;
+    rng.Shuffle(&head);
+    head.resize(static_cast<size_t>(rng.UniformInt(0, 3)));
+    one_rule += bodies.size() == 1;
+    nullary += head.empty();
+
+    auto run = [&](bool rule_union, BudgetTracker* budget) -> Result<uint64_t> {
+      std::vector<VarRelation> rules;
+      std::vector<TupleCharge> charges;
+      for (const VarRelation& body : bodies) {
+        GMARK_ASSIGN_OR_RETURN(ChargedRelation projected,
+                               ProjectDistinct(body, head, budget));
+        rules.push_back(std::move(projected.value));
+        charges.push_back(std::move(projected.charge));
+      }
+      return rule_union ? CountRuleUnion(rules, budget)
+                        : CountDistinctUnion(rules, budget);
+    };
+    BudgetTracker got_budget(ResourceBudget::Unlimited());
+    BudgetTracker want_budget(ResourceBudget::Unlimited());
+    auto got = run(true, &got_budget);
+    auto want = run(false, &want_budget);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, *want);
+    EXPECT_EQ(got_budget.peak_tuples(), want_budget.peak_tuples());
+    EXPECT_EQ(got_budget.tuples_used(), 0u);
+    with_duplicates += *want < bodies[0].row_count();
+    for (size_t ceiling = 0; ceiling < want_budget.peak_tuples(); ++ceiling) {
+      const ResourceBudget tight = ResourceBudget::Limited(
+          std::numeric_limits<double>::infinity(), ceiling);
+      BudgetTracker got_tight(tight);
+      BudgetTracker want_tight(tight);
+      const Status got_status = run(true, &got_tight).status();
+      const Status want_status = run(false, &want_tight).status();
+      ASSERT_TRUE(want_status.IsResourceExhausted()) << ceiling;
+      EXPECT_EQ(got_status.ToString(), want_status.ToString()) << ceiling;
+      EXPECT_EQ(got_tight.peak_tuples(), want_tight.peak_tuples()) << ceiling;
+      EXPECT_EQ(got_tight.tuples_used(), 0u);
+      EXPECT_EQ(got_tight.over_releases(), 0u);
+    }
+  }
+  EXPECT_GT(one_rule, 0);
+  EXPECT_GT(nullary, 0);
+  EXPECT_GT(with_duplicates, 0);
+}
+
 // ---------------------------------------------------------------------
 // Deadline tests: every operator loop checks the clock within one
 // PeriodicTimeCheck period, so an input one row past the period fails
@@ -427,6 +502,18 @@ TEST(RelationDeadlineTest, CountDistinctUnionChecksTheClock) {
       CountDistinctUnion({DistinctColumn(0, kPastOnePeriod)}, &budget)
           .status(),
       budget);
+}
+
+TEST(RelationDeadlineTest, CountRuleUnionChecksTheClockLikeTheSet) {
+  // The replayed charges stop at the same clock check as the distinct
+  // set's: same status, same peak.
+  BudgetTracker got(kExpired);
+  BudgetTracker want(kExpired);
+  const std::vector<VarRelation> rule{DistinctColumn(0, kPastOnePeriod)};
+  ExpectTimedOut(CountRuleUnion(rule, &got).status(), got);
+  ExpectTimedOut(CountDistinctUnion(rule, &want).status(), want);
+  EXPECT_EQ(got.peak_tuples(), want.peak_tuples());
+  EXPECT_EQ(got.peak_tuples(), PeriodicTimeCheck::kDefaultPeriod - 1);
 }
 
 TEST(BudgetTest, TimeoutFires) {

@@ -11,6 +11,7 @@
 
 #include "core/graph_config.h"
 #include "graph/generator.h"
+#include "util/string_util.h"
 
 namespace gmark {
 namespace {
@@ -28,37 +29,33 @@ GraphConfiguration Phi0Config() {
   auto fixed1 = OccurrenceConstraint::Fixed(1);
   EXPECT_TRUE(s.AddType("A", fixed1).ok());
   for (int i = 1; i <= k; ++i) {
-    EXPECT_TRUE(s.AddType("C" + std::to_string(i), fixed1).ok());
+    EXPECT_TRUE(s.AddType(IndexedName("C", i), fixed1).ok());
   }
   for (int i = 1; i <= n; ++i) {
-    EXPECT_TRUE(s.AddType("B" + std::to_string(i), fixed1).ok());
+    EXPECT_TRUE(s.AddType(IndexedName("B", i), fixed1).ok());
   }
   // Ti / Fi: at most one of each exists; the proof gives them "?" out
   // of A, so we declare them with one node each (the generator's
   // relaxation decides which get used).
   for (int i = 1; i <= n; ++i) {
-    EXPECT_TRUE(s.AddType("T" + std::to_string(i), fixed1).ok());
-    EXPECT_TRUE(s.AddType("F" + std::to_string(i), fixed1).ok());
+    EXPECT_TRUE(s.AddType(IndexedName("T", i), fixed1).ok());
+    EXPECT_TRUE(s.AddType(IndexedName("F", i), fixed1).ok());
   }
   for (int i = 1; i <= k; ++i) {
-    EXPECT_TRUE(s.AddPredicate("c" + std::to_string(i)).ok());
+    EXPECT_TRUE(s.AddPredicate(IndexedName("c", i)).ok());
   }
   for (int i = 1; i <= n; ++i) {
-    EXPECT_TRUE(s.AddPredicate("b" + std::to_string(i)).ok());
-    EXPECT_TRUE(s.AddPredicate("t" + std::to_string(i)).ok());
-    EXPECT_TRUE(s.AddPredicate("f" + std::to_string(i)).ok());
+    EXPECT_TRUE(s.AddPredicate(IndexedName("b", i)).ok());
+    EXPECT_TRUE(s.AddPredicate(IndexedName("t", i)).ok());
+    EXPECT_TRUE(s.AddPredicate(IndexedName("f", i)).ok());
   }
 
   // eta(A, Ti, ti) = eta(A, Fi, fi) = "?".
   for (int i = 1; i <= n; ++i) {
     EXPECT_TRUE(
-        s.AddEdgeOptional("A", "t" + std::to_string(i),
-                          "T" + std::to_string(i))
-            .ok());
+        s.AddEdgeOptional("A", IndexedName("t", i), IndexedName("T", i)).ok());
     EXPECT_TRUE(
-        s.AddEdgeOptional("A", "f" + std::to_string(i),
-                          "F" + std::to_string(i))
-            .ok());
+        s.AddEdgeOptional("A", IndexedName("f", i), IndexedName("F", i)).ok());
   }
   // Positive literal occurrences: eta(Ti, Cl, cl) = 1; plus
   // eta(Ti, Bi, bi) = 1.
@@ -73,10 +70,8 @@ GraphConfiguration Phi0Config() {
   one("F1", "c2", "C2");  // -x1 in C2
   one("F4", "c2", "C2");  // -x4 in C2
   for (int i = 1; i <= 4; ++i) {
-    one("T" + std::to_string(i), "b" + std::to_string(i),
-        "B" + std::to_string(i));
-    one("F" + std::to_string(i), "b" + std::to_string(i),
-        "B" + std::to_string(i));
+    one(IndexedName("T", i), IndexedName("b", i), IndexedName("B", i));
+    one(IndexedName("F", i), IndexedName("b", i), IndexedName("B", i));
   }
   return config;
 }
@@ -101,9 +96,9 @@ TEST(SatReductionTest, GeneratorAlwaysEmitsAGraphWithoutBacktracking) {
   // Structural soundness: all bi edges end in the matching Bi node.
   for (int i = 1; i <= 4; ++i) {
     PredicateId bi =
-        config.schema.PredicateIdOf("b" + std::to_string(i)).ValueOrDie();
+        config.schema.PredicateIdOf(IndexedName("b", i)).ValueOrDie();
     TypeId type_bi =
-        config.schema.TypeIdOf("B" + std::to_string(i)).ValueOrDie();
+        config.schema.TypeIdOf(IndexedName("B", i)).ValueOrDie();
     graph->ForEachEdge(bi, [&](NodeId src, NodeId trg) {
       (void)src;
       EXPECT_EQ(graph->TypeOf(trg), type_bi);
@@ -122,7 +117,7 @@ TEST(SatReductionTest, RelaxationOverApproximatesValuations) {
   NodeId a_node = graph.layout().GlobalId(a, 0);
   for (int i = 1; i <= 4; ++i) {
     PredicateId ti =
-        config.schema.PredicateIdOf("t" + std::to_string(i)).ValueOrDie();
+        config.schema.PredicateIdOf(IndexedName("t", i)).ValueOrDie();
     EXPECT_LE(graph.OutNeighbors(ti, a_node).size(), 1u);
   }
 }

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/graph_config.h"
@@ -17,6 +18,8 @@
 #include "obs/eval_profile.h"
 #include "plan/plan.h"
 #include "query/query.h"
+#include "workload/presets.h"
+#include "workload/query_generator.h"
 
 namespace gmark {
 namespace {
@@ -331,6 +334,40 @@ TEST(PlannerBibTest, EveryWorkloadStepCoversEachConjunctOnce) {
     seen[step.conjunct] = true;
     EXPECT_GE(step.est_rows, 0.0);
   }
+}
+
+TEST(PlannerBibTest, OnePlannerServesConcurrentCalls) {
+  // Each PlanQuery builds its cardinality model on its own stack, so a
+  // shared const Planner plans from several threads at once and every
+  // thread gets the serial plans.
+  GraphConfiguration config = MakeBibConfig(2000);
+  const NodeLayout layout = NodeLayout::Create(config).ValueOrDie();
+  const Planner planner(&config.schema);
+  const QueryGenerator generator(&config.schema);
+  std::vector<Query> queries;
+  for (WorkloadPreset preset : AllWorkloadPresets()) {
+    auto workload = generator.Generate(MakePresetWorkload(preset, 12, 5));
+    ASSERT_TRUE(workload.ok()) << workload.status();
+    for (Query& q : workload->RawQueries()) queries.push_back(std::move(q));
+  }
+  std::vector<QueryPlan> serial;
+  for (const Query& q : queries) serial.push_back(planner.PlanQuery(q, layout));
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<QueryPlan>> concurrent(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 3; ++round) {
+        concurrent[t].clear();
+        for (const Query& q : queries) {
+          concurrent[t].push_back(planner.PlanQuery(q, layout));
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(concurrent[t], serial);
 }
 
 }  // namespace
