@@ -337,7 +337,7 @@ int main() {
     // Seed path last (it owns the largest resident set): canonical
     // stream into one vector, then concat-and-scatter indexing.
     VectorSink stream;
-    if (!ParallelGenerateEdges(config, &stream, Options(max_threads, false))
+    if (!ParallelGenerateToSink(config, &stream, Options(max_threads, false))
              .ok()) {
       std::fprintf(stderr, "FAIL: edge generation failed\n");
       return 1;

@@ -48,7 +48,7 @@ Run TimeParallel(const GraphConfiguration& config, int threads) {
   options.num_threads = threads;
   CountingSink sink;
   WallTimer timer;
-  Status st = ParallelGenerateEdges(config, &sink, options);
+  Status st = ParallelGenerateToSink(config, &sink, options);
   Run r{timer.ElapsedSeconds(), st.ok() ? sink.count() : 0};
   return r;
 }

@@ -44,6 +44,9 @@ class EdgeSink {
 class CountingSink : public EdgeSink {
  public:
   void Append(NodeId, PredicateId, NodeId) override { ++count_; }
+  void AppendBlock(std::span<const Edge> block) override {
+    count_ += block.size();
+  }
   size_t count() const override { return count_; }
 
  private:
@@ -98,9 +101,13 @@ struct GeneratorOptions {
   /// order at drain time, so peak edge memory is ~ num_threads *
   /// chunk_size edges instead of the whole graph. 0 means "always
   /// spill"; -1 (default) disables spilling. The emitted edge stream is
-  /// byte-identical either way. Ignored by the serial GenerateEdges
-  /// path and by ParallelGenerateGraph (an indexed graph needs the full
-  /// edge vector resident anyway).
+  /// byte-identical either way. Both parallel entry points honor it:
+  /// ParallelGenerateToSink replays the staged shards into its sink in
+  /// canonical order (a text sink's shards are formatted on the
+  /// workers and written one ostream::write per shard), and
+  /// ParallelGenerateGraph streams them into the per-predicate CSRs, so
+  /// only the final index stays resident (gmark_cli relies on both).
+  /// Ignored by the serial GenerateEdges path.
   int64_t spill_threshold_bytes = -1;
 
   /// Parent directory for spill files; empty means the system temp

@@ -119,6 +119,31 @@ void TextEdgeSink::AppendBlock(std::span<const Edge> block) {
   count_ += block.size();
 }
 
+void TextEdgeSink::FormatBlock(std::span<const Edge> block,
+                               std::vector<char>* out) const {
+  // Grow in steps of one flush size past the longest line, so resize
+  // zero-fills (and faults in) about the text itself: a bound of
+  // max_line_ per edge could be far more when one predicate name is
+  // long.
+  size_t size = out->size();
+  for (const Edge& e : block) {
+    if (out->size() - size < max_line_) {
+      out->resize(size + max_line_ + internal::LineBuffer::kFlushBytes);
+    }
+    size = static_cast<size_t>(FormatLine(out->data() + size, e) -
+                               out->data());
+  }
+  out->resize(size);
+}
+
+void TextEdgeSink::WriteFormatted(std::span<const char> text, size_t edges) {
+  if (!text.empty()) {
+    buffer_.stream()->write(text.data(),
+                            static_cast<std::streamsize>(text.size()));
+  }
+  count_ += edges;
+}
+
 NTriplesSink::NTriplesSink(std::ostream* out, const GraphSchema* schema)
     : TextEdgeSink(out, kNodePrefix, NTriplesPredicatePieces(*schema),
                    "> .\n") {}

@@ -3,6 +3,10 @@
 // systems) and a plain CSV edge list. Every writer formats whole lines
 // with std::to_chars into a byte buffer and hands it to the stream with
 // ostream::write, so the stream's format flags never touch the output.
+// The parallel generator (ParallelGenerateToSink) formats its shards on
+// its workers through TextEdgeSink::FormatBlock and writes them in
+// canonical shard order, one ostream::write per shard
+// (TextEdgeSink::WriteFormatted).
 
 #ifndef GMARK_GRAPH_GRAPH_IO_H_
 #define GMARK_GRAPH_GRAPH_IO_H_
@@ -47,6 +51,9 @@ class LineBuffer {
   /// \brief Write the buffered bytes to the stream, if any.
   void Flush();
 
+  /// \brief The stream Flush writes to.
+  std::ostream* stream() const { return out_; }
+
  private:
   std::ostream* out_;
   std::vector<char> data_;  ///< Storage; only [0, size_) is content.
@@ -61,16 +68,30 @@ class LineBuffer {
 /// The sinks ignore the stream's format flags (width, base, showpos,
 /// locale) and write whole lines per ostream::write call. Append writes
 /// its one line at once; AppendBlock formats the block into a reusable
-/// buffer, writing every 64 KiB and at block end. Nothing stays
-/// buffered in the sink between calls, so the stream state after any
-/// call tells whether its lines reached the stream. Stream errors are
-/// the caller's to check (e.g. via WriteCsv, or by testing the stream
-/// after a drain); the sink itself only counts what it formatted.
+/// buffer, writing every 64 KiB and at block end. The parallel
+/// generator splits the two steps: its workers format whole shards
+/// with the const FormatBlock, and the calling thread hands each shard
+/// to the stream with one WriteFormatted, in canonical shard order.
+/// Nothing stays buffered in the sink between calls, so the stream
+/// state after any call tells whether its lines reached the stream.
+/// Stream errors are the caller's to check (e.g. via WriteCsv, or by
+/// testing the stream after a drain); the sink itself only counts what
+/// it formatted.
 class TextEdgeSink : public EdgeSink {
  public:
   void Append(NodeId source, PredicateId predicate, NodeId target) override;
   void AppendBlock(std::span<const Edge> block) override;
   size_t count() const override { return count_; }
+
+  /// \brief Append the lines of `block` to `*out`, exactly the bytes
+  /// AppendBlock would write. Touches no sink state, so concurrent
+  /// calls on one sink are safe (each with its own `out`).
+  void FormatBlock(std::span<const Edge> block, std::vector<char>* out) const;
+
+  /// \brief Write `text`, the FormatBlock output of `edges` edges, to
+  /// the stream in one ostream::write (none when empty) and count the
+  /// edges, whether or not the stream accepts the bytes.
+  void WriteFormatted(std::span<const char> text, size_t edges);
 
  protected:
   /// `mids` holds one piece per predicate id.

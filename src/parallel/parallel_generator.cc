@@ -5,9 +5,11 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
+#include "graph/graph_io.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/executor.h"
@@ -308,6 +310,64 @@ ShardStoreFactory AutoSpillFactory(const GeneratorOptions& options,
   };
 }
 
+/// The ordered text drain: the executor's workers format the shards,
+/// a window of W = 2 x workers shards at a time, shard i into slot
+/// buffer i mod 2W; the calling thread writes window k in shard order,
+/// one WriteFormatted per shard, while the workers format window k+1
+/// into the other W slots. The slots are reused across windows, so
+/// their pages are faulted in once and the text in flight is bounded
+/// by 2W shards. Inline (one thread) each window is formatted at
+/// submit, by the same loop.
+Status DrainText(const ShardStore& store, TextEdgeSink* sink,
+                 Executor* executor) {
+  struct Slot {
+    std::vector<char> text;
+    size_t edges = 0;
+    Status status;
+  };
+  const size_t shard_count = store.shard_count();
+  const size_t window = 2 * static_cast<size_t>(executor->workers());
+  std::vector<Slot> slots(2 * window);
+  // SAFETY: Executor::Submit and Executor::Wait are the only barriers
+  // and the happens-before edges. A slot is written only by the one
+  // task formatting its shard, which the Submit publishes after the
+  // calling thread's last read of that slot (the write of the shard
+  // 2W before it, done before the Submit); the calling thread reads a
+  // slot only after the Wait that joins its task. The workers read the
+  // store (concurrent VisitRange is allowed after Finish) and the
+  // sink's const FormatBlock only; WriteFormatted runs on the calling
+  // thread alone. Tasks never submit tasks.
+  auto format_window = [&](size_t begin) {
+    for (size_t i = begin; i < std::min(begin + window, shard_count); ++i) {
+      Slot* slot = &slots[i % slots.size()];
+      executor->Submit([&store, sink, slot, i] {
+        slot->text.clear();
+        slot->edges = 0;
+        slot->status = store.VisitRange(
+            i, i + 1, [sink, slot](std::span<const Edge> block) -> Status {
+              sink->FormatBlock(block, &slot->text);
+              slot->edges += block.size();
+              return Status::OK();
+            });
+      });
+    }
+  };
+  format_window(0);
+  for (size_t begin = 0; begin < shard_count; begin += window) {
+    executor->Wait();
+    format_window(begin + window);
+    for (size_t i = begin; i < std::min(begin + window, shard_count); ++i) {
+      const Slot& slot = slots[i % slots.size()];
+      if (!slot.status.ok()) {
+        executor->Wait();
+        return slot.status;
+      }
+      sink->WriteFormatted(slot.text, slot.edges);
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Status ParallelGenerateToSink(const GraphConfiguration& config,
@@ -320,18 +380,16 @@ Status ParallelGenerateToSink(const GraphConfiguration& config,
   GMARK_RETURN_NOT_OK(GenerateShards(
       config, layout, options, &executor,
       AutoSpillFactory(options, &store, &spilled)));
-  GMARK_RETURN_NOT_OK(store->Drain(sink));
+  auto* text_sink = dynamic_cast<TextEdgeSink*>(sink);
+  GMARK_RETURN_NOT_OK(text_sink != nullptr
+                          ? DrainText(*store, text_sink, &executor)
+                          : store->Drain(sink));
   if (stats != nullptr) {
     stats->total_edges = store->TotalEdges();
     stats->peak_resident_edge_bytes = store->PeakResidentEdgeBytes();
     stats->spilled = spilled;
   }
   return Status::OK();
-}
-
-Status ParallelGenerateEdges(const GraphConfiguration& config, EdgeSink* sink,
-                             const GeneratorOptions& options) {
-  return ParallelGenerateToSink(config, sink, options);
 }
 
 Result<Graph> ParallelGenerateGraph(const GraphConfiguration& config,

@@ -95,7 +95,9 @@ class ShardStore {
   virtual void ReleaseRange(size_t begin, size_t end) = 0;
 
   /// \brief Stream every edge into `out` in canonical shard order, one
-  /// replayed block per EdgeSink::AppendBlock call.
+  /// replayed block per EdgeSink::AppendBlock call. The drain of
+  /// non-text sinks; ParallelGenerateToSink formats text sinks' shards
+  /// on its workers instead.
   Status Drain(EdgeSink* out) const {
     return VisitRange(0, shard_count(),
                       [out](std::span<const Edge> block) -> Status {
